@@ -27,7 +27,7 @@ class ProtectDirtyPolicy(ReplacementPolicy):
     def victim(self, set_index, cache_set, access):
         def eviction_key(way):
             line = cache_set.lines[way]
-            return (line.dirty, line.recency)  # clean first, then LRU
+            return (line.dirty, line.stamp)  # clean first, then LRU
 
         return min(cache_set.valid_ways(), key=eviction_key)
 

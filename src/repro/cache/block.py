@@ -1,10 +1,11 @@
 """Cache line metadata.
 
-Each line carries every per-line feature from Table II of the paper (offset,
-dirty bit, preuse distance, ages, last access type, per-type access counts,
-hits since insertion, recency) so the RL agent can build its full state
-vector.  Hardware policies (RLR included) deliberately *do not* read the
-idealized counters here; they model their own quantized registers.
+Each line carries, or lets its set derive, every per-line feature from
+Table II of the paper (offset, dirty bit, preuse distance, ages, last access
+type, per-type access counts, hits since insertion, recency) so the RL agent
+can build its full state vector.  Hardware policies (RLR included)
+deliberately *do not* read the idealized counters here; they model their
+own quantized registers.
 """
 
 from __future__ import annotations
@@ -16,7 +17,13 @@ from repro.traces.record import AccessType, LINE_SIZE
 
 @dataclass(slots=True)
 class CacheLine:
-    """One way of one cache set, plus the Table II per-line features."""
+    """One way of one cache set, plus the Table II per-line features.
+
+    Ages and recency derive from two counts of set accesses: age since last
+    access is ``cache_set.accesses - stamp``, age since insertion is
+    ``cache_set.accesses - fill_at``, and a larger stamp is more recent
+    (``CacheSet.ranks`` gives the 0 = LRU .. ways-1 = MRU positions).
+    """
 
     valid: bool = False
     tag: int = -1
@@ -29,21 +36,16 @@ class CacheLine:
     last_access_type: AccessType = AccessType.LOAD
     insertion_type: AccessType = AccessType.LOAD
     preuse: int = 0  #: set accesses between the last two accesses to the line
-    age_since_insertion: int = 0  #: set accesses since the line was filled
-    age_since_last_access: int = 0  #: set accesses since the last access
     hits_since_insertion: int = 0
     access_counts: list = field(
         default_factory=lambda: [0, 0, 0, 0]
     )  #: per-type access counts since insertion, indexed by AccessType value
-    recency: int = 0  #: 0 = LRU .. (ways-1) = MRU
+    stamp: int = 0  #: set access count at the last hit or fill
+    fill_at: int = 0  #: set access count at the fill
 
-    def fill(self, tag: int, line_address: int, access) -> None:
-        """Install a new line for ``access``, resetting all per-line counters.
-
-        Recency is deliberately NOT touched here: the cache set promotes the
-        way (using the outgoing line's recency, so the per-set recency values
-        stay a permutation) before calling ``fill``.
-        """
+    def fill(self, tag: int, line_address: int, access, now: int) -> None:
+        """Install a new line for ``access`` at set access ``now``,
+        resetting all per-line counters."""
         self.valid = True
         self.tag = tag
         self.line_address = line_address
@@ -55,32 +57,20 @@ class CacheLine:
         self.last_access_type = access.access_type
         self.insertion_type = access.access_type
         self.preuse = 0
-        self.age_since_insertion = 0
-        self.age_since_last_access = 0
         self.hits_since_insertion = 0
         self.access_counts = [0, 0, 0, 0]
         self.access_counts[access.access_type] = 1
+        self.stamp = now
+        self.fill_at = now
 
-    def touch(self, access) -> None:
-        """Record a hit to this line: update preuse, ages, counts, and type.
-
-        ``age_since_last_access`` must already include the current set access
-        (the set increments ages before dispatching the hit), so its value at
-        this point *is* the preuse distance.
-        """
-        self.preuse = self.age_since_last_access
-        self.age_since_last_access = 0
+    def touch(self, access, now: int) -> None:
+        """Record a hit to this line at set access ``now``: update preuse,
+        recency, counts, and type."""
+        self.preuse = now - self.stamp
+        self.stamp = now
         self.hits_since_insertion += 1
         self.access_counts[access.access_type] += 1
         self.last_access_type = access.access_type
         self.last_pc = access.pc
         if access.is_write:
             self.dirty = True
-
-    def invalidate(self) -> None:
-        """Mark the line invalid (after eviction)."""
-        self.valid = False
-        self.tag = -1
-        self.line_address = -1
-        self.dirty = False
-        self.recency = 0

@@ -8,16 +8,16 @@ paper's Figure 4 analysis) and eviction events (Figures 5–7).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.cache.cache_set import CacheSet
 from repro.cache.replacement.base import BYPASS
 from repro.cache.stats import CacheStats
 
 
-@dataclass
-class AccessResult:
-    """Outcome of one cache access."""
+class AccessResult(NamedTuple):
+    """Outcome of one cache access (immutable; hits and plain fills share
+    one instance each)."""
 
     hit: bool
     bypassed: bool = False
@@ -27,7 +27,12 @@ class AccessResult:
     @property
     def has_writeback(self) -> bool:
         """True if the access displaced a dirty line that must go downstream."""
-        return self.evicted_line_address >= 0 and self.evicted_dirty
+        return self.evicted_dirty
+
+
+HIT = AccessResult(True)
+FILLED = AccessResult(False)
+BYPASSED = AccessResult(False, bypassed=True)
 
 
 class Cache:
@@ -65,112 +70,121 @@ class Cache:
         self.detailed = detailed
         self.sets = [CacheSet(i, config.ways) for i in range(config.num_sets)]
         self.stats = CacheStats()
+        self._set_mask = config.num_sets - 1
+        self._tag_shift = self._set_mask.bit_length()
         self._seen_lines = set()
         self.access_observers = []
         self.eviction_observers = []
         self.decision_observers = []
+        #: False until an observer is registered: the access and eviction
+        #: paths then skip every observer loop.
+        self._observed = False
 
     # -- observers --------------------------------------------------------
 
     def add_access_observer(self, callback) -> None:
         """``callback(access, hit)`` fires on every access to this cache."""
         self.access_observers.append(callback)
+        self._observed = True
 
     def add_eviction_observer(self, callback) -> None:
         """``callback(set_index, line, access)`` fires before each eviction."""
         self.eviction_observers.append(callback)
+        self._observed = True
 
     def add_decision_observer(self, callback) -> None:
         """``callback(cache_set, way, victim_line, access)`` per eviction.
 
         Fires with the full set state *before* the fill, so the observer
         can see every resident line (the decision tracer grades the chosen
-        way against the alternatives).  When no observer is registered the
-        only cost is an empty-list ``for`` per eviction, identical to the
-        pre-existing ``eviction_observers`` loop.
+        way against the alternatives).  A cache with no observer of any
+        kind never enters :meth:`_notify_eviction`.
         """
         self.decision_observers.append(callback)
+        self._observed = True
+
+    def _notify_eviction(self, cache_set, way: int, line, access) -> None:
+        for callback in self.eviction_observers:
+            callback(cache_set.index, line, access)
+        for callback in self.decision_observers:
+            callback(cache_set, way, line, access)
 
     # -- main entry point ---------------------------------------------------
 
     def access(self, access) -> AccessResult:
         """Look up ``access``; on a miss, allocate (evicting if needed)."""
-        set_index = self.config.set_index(access.line_address)
-        tag = self.config.tag(access.line_address)
-        cache_set = self.sets[set_index]
-
-        cache_set.begin_access(ages=self.detailed)
-        way = cache_set.find(tag)
-
-        if way is not None:
-            result = self._handle_hit(cache_set, way, access)
-        else:
+        line_address = access.line_address
+        cache_set = self.sets[line_address & self._set_mask]
+        tag = line_address >> self._tag_shift
+        cache_set.accesses = now = cache_set.accesses + 1
+        way = cache_set.way_of.get(tag)
+        if way is None:
             result = self._handle_miss(cache_set, tag, access)
-
-        for callback in self.access_observers:
-            callback(access, result.hit)
+        else:
+            cache_set.accesses_since_miss += 1
+            line = cache_set.lines[way]
+            if self.detailed:
+                line.touch(access, now)
+            else:
+                line.stamp = now
+                if access.is_write:
+                    line.dirty = True
+            self.stats.hits[access.access_type] += 1
+            self.policy.on_hit(cache_set.index, way, line, access)
+            result = HIT
+        if self._observed:
+            for callback in self.access_observers:
+                callback(access, result.hit)
         return result
 
-    def _handle_hit(self, cache_set, way: int, access) -> AccessResult:
-        cache_set.record_hit()
-        line = cache_set.lines[way]
-        if self.detailed:
-            line.touch(access)
-        elif access.is_write:
-            line.dirty = True
-        cache_set.promote(way)
-        self.stats.record_hit(access.access_type)
-        self.policy.on_hit(cache_set.index, way, line, access)
-        return AccessResult(hit=True)
-
     def _handle_miss(self, cache_set, tag: int, access) -> AccessResult:
-        cache_set.record_miss()
-        compulsory = access.line_address not in self._seen_lines
-        self._seen_lines.add(access.line_address)
-        self.stats.record_miss(access.access_type, compulsory=compulsory)
-        self.policy.on_miss(cache_set.index, access)
+        cache_set.accesses_since_miss = 0
+        cache_set.misses += 1
+        line_address = access.line_address
+        stats = self.stats
+        stats.misses[access.access_type] += 1
+        if line_address not in self._seen_lines:
+            self._seen_lines.add(line_address)
+            stats.compulsory_misses += 1
+        policy = self.policy
+        set_index = cache_set.index
+        policy.on_miss(set_index, access)
 
-        way = cache_set.free_way()
-        evicted_address, evicted_dirty = -1, False
-        if way is None:
-            way = self.policy.victim(cache_set.index, cache_set, access)
+        if len(cache_set.way_of) < cache_set.ways:
+            way = cache_set.free_way()
+            result = FILLED
+        else:
+            way = policy.victim(set_index, cache_set, access)
             if way == BYPASS:
                 if self.allow_bypass:
-                    self.stats.bypasses += 1
-                    return AccessResult(hit=False, bypassed=True)
+                    stats.bypasses += 1
+                    return BYPASSED
                 way = cache_set.lru_way()
             victim_line = cache_set.lines[way]
-            for callback in self.eviction_observers:
-                callback(cache_set.index, victim_line, access)
-            for callback in self.decision_observers:
-                callback(cache_set, way, victim_line, access)
-            self.policy.on_evict(cache_set.index, way, victim_line, access)
-            evicted_address = victim_line.line_address
-            evicted_dirty = victim_line.dirty
-            self.stats.evictions += 1
-            if evicted_dirty:
-                self.stats.dirty_evictions += 1
+            if self._observed:
+                self._notify_eviction(cache_set, way, victim_line, access)
+            policy.on_evict(set_index, way, victim_line, access)
+            result = AccessResult(
+                False, False, victim_line.line_address, victim_line.dirty
+            )
+            stats.evictions += 1
+            if victim_line.dirty:
+                stats.dirty_evictions += 1
 
-        line = cache_set.lines[way]
-        # Promote BEFORE filling: promote shifts the other lines down based
-        # on the outgoing line's recency, keeping recencies a permutation.
-        cache_set.promote(way)
-        line.fill(tag, access.line_address, access)
-        line.recency = self.config.ways - 1
-        self.policy.on_fill(cache_set.index, way, line, access)
-        return AccessResult(
-            hit=False,
-            evicted_line_address=evicted_address,
-            evicted_dirty=evicted_dirty,
-        )
+        line = cache_set.fill(way, tag, line_address, access)
+        policy.on_fill(set_index, way, line, access)
+        return result
 
     # -- inspection helpers -------------------------------------------------
 
+    def _locate(self, line_address: int):
+        """(set, way) holding ``line_address``; way is None if absent."""
+        cache_set = self.sets[line_address & self._set_mask]
+        return cache_set, cache_set.find(line_address >> self._tag_shift)
+
     def contains(self, line_address: int) -> bool:
         """True if ``line_address`` is currently cached (no state change)."""
-        set_index = self.config.set_index(line_address)
-        tag = self.config.tag(line_address)
-        return self.sets[set_index].find(tag) is not None
+        return self._locate(line_address)[1] is not None
 
     def invalidate(self, line_address: int) -> bool:
         """Drop ``line_address`` if present; returns whether it was cached."""
@@ -183,21 +197,16 @@ class Cache:
         Used for back-invalidation in inclusive hierarchies, where a dirty
         upper-level copy must be written back on invalidation.
         """
-        set_index = self.config.set_index(line_address)
-        tag = self.config.tag(line_address)
-        way = self.sets[set_index].find(tag)
+        cache_set, way = self._locate(line_address)
         if way is None:
             return False, False
-        line = self.sets[set_index].lines[way]
-        was_dirty = line.dirty
-        line.invalidate()
+        was_dirty = cache_set.lines[way].dirty
+        cache_set.invalidate(way)
         return True, was_dirty
 
     def occupancy(self) -> float:
         """Fraction of lines currently valid."""
-        valid = sum(
-            1 for cache_set in self.sets for line in cache_set.lines if line.valid
-        )
+        valid = sum(len(cache_set.way_of) for cache_set in self.sets)
         return valid / self.config.num_lines
 
     def reset_stats(self) -> None:

@@ -74,7 +74,7 @@ class CacheHierarchy:
         Returns the level that served it (1=L1, 2=L2, 3=LLC, 4=memory).
         Prefetchers are trained and their requests issued as side effects.
         """
-        if record.access_type not in (AccessType.LOAD, AccessType.RFO):
+        if not record.access_type.is_demand:
             raise ValueError("hierarchy.access expects demand accesses only")
         core = record.core
         result_l1 = self.l1d[core].access(record)

@@ -9,7 +9,7 @@ from repro.cache.replacement.base import ReplacementPolicy, register_policy
 
 @register_policy
 class LRUPolicy(ReplacementPolicy):
-    """True LRU, using the recency stack the cache set maintains.
+    """True LRU, using the recency stamps the cache set maintains.
 
     Overhead (Table I): ``log2(ways)`` recency bits per line — 16KB for a
     16-way 2MB cache.
@@ -32,12 +32,8 @@ class MRUPolicy(ReplacementPolicy):
     name = "mru"
 
     def victim(self, set_index, cache_set, access):
-        best_way, best_recency = 0, -1
-        for way, line in enumerate(cache_set.lines):
-            if line.valid and line.recency > best_recency:
-                best_recency = line.recency
-                best_way = way
-        return best_way
+        lines = cache_set.lines
+        return max(cache_set.valid_ways(), key=lambda way: lines[way].stamp)
 
     @classmethod
     def overhead_bits(cls, config):

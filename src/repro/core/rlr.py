@@ -42,7 +42,7 @@ class _RLRBase(ReplacementPolicy):
             variant); if False, on every set access (unoptimized variant).
         quantize_log2: Advance line age counters once per ``2**quantize_log2``
             counted events (optimized variant uses 3, i.e. every 8 misses).
-        true_recency: Use the exact recency stack for tie-breaks; otherwise
+        true_recency: Use exact recency (line stamps) for tie-breaks; otherwise
             approximate recency with the age counter (optimized variant).
         weights: Ablation switches for the priority terms.
         enable_bypass: Bypass the fill when no line's age exceeds RD.
@@ -186,7 +186,7 @@ class _RLRBase(ReplacementPolicy):
         # Hot path: inline the Figure 8 priority computation (the reference
         # implementation lives in repro.core.priority; unit tests check the
         # two agree).  Tie-breaks are folded into a single-pass min key:
-        # unopt = (priority, -recency) [evict MOST recent among lowest],
+        # unopt = (priority, -stamp) [evict MOST recent among lowest],
         # opt   = (priority, age, way) [age approximates recency; then
         # lowest way index].
         ages = self._age[set_index]
@@ -217,7 +217,7 @@ class _RLRBase(ReplacementPolicy):
             if multicore:
                 priority += self._core_priority[self._line_core[set_index][way]]
             if self.true_recency:
-                key = (priority, -line.recency)
+                key = (priority, -line.stamp)
             else:
                 key = (priority, age, way)
             if best_key is None or key < best_key:

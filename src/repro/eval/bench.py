@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import platform
+import statistics
 import time
 from pathlib import Path
 
@@ -259,9 +260,9 @@ def bench_serve(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
                          access_type=AccessType.LOAD, core=0)
     config = CacheConfig("llc", 64 * 1024, 16, 30)
     cache_set = CacheSet(0, 16)
-    for way, line in enumerate(cache_set.lines):
-        line.fill(0x10 + way, 0x4000 + way, record)
-        line.recency = way
+    for way in range(16):  # way 0 filled first: the LRU line
+        cache_set.accesses += 1
+        cache_set.fill(way, 0x10 + way, 0x4000 + way, record)
 
     rates, latency_us, phases = {}, {}, {}
     with start_in_thread(ServeConfig()) as handle:
@@ -372,6 +373,102 @@ def bench_train(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
     }
 
 
+#: Minimum interleaved replay pairs behind the disabled-observer A/B.
+OBSERVER_AB_PAIRS = 10
+
+
+def observer_probes(prepared, traced: bool = False) -> list:
+    """Observer machinery one replay touched: ``[]`` on the plain path.
+
+    Replays ``prepared`` under LRU with every observer registration and
+    the eviction-notification branch of :class:`~repro.cache.cache.Cache`
+    replaced by recorders (``traced=True`` attaches a decision trace, so
+    the probes are shown to fire when observers exist).  Deterministic:
+    it names code paths, it does not time them.
+    """
+    from repro.cache.cache import Cache
+    from repro.eval.runner import replay
+    from repro.telemetry.decisions import DecisionTrace
+
+    touched = []
+    originals = {}
+    for name in ("add_access_observer", "add_eviction_observer",
+                 "add_decision_observer", "_notify_eviction"):
+        original = originals[name] = getattr(Cache, name)
+
+        def probe(self, *args, name=name, original=original):
+            touched.append(name)
+            return original(self, *args)
+
+        setattr(Cache, name, probe)
+    try:
+        decisions = DecisionTrace(workload="probe") if traced else None
+        replay(prepared, "lru", decisions=decisions)
+    finally:
+        for name, original in originals.items():
+            setattr(Cache, name, original)
+    return sorted(set(touched))
+
+
+def _cache_without_observers():
+    """:class:`~repro.cache.cache.Cache` compiled with every ``if
+    self._observed:`` branch deleted: observers structurally absent."""
+    import ast
+    import inspect
+
+    from repro.cache import cache as module
+
+    class StripObserverBranches(ast.NodeTransformer):
+        def visit_If(self, node):
+            self.generic_visit(node)
+            test = node.test
+            if isinstance(test, ast.Attribute) and test.attr == "_observed":
+                return node.orelse
+            return node
+
+    tree = StripObserverBranches().visit(ast.parse(inspect.getsource(module)))
+    namespace = {"__name__": module.__name__}
+    exec(compile(ast.fix_missing_locations(tree), module.__file__, "exec"),
+         namespace)
+    return namespace["Cache"]
+
+
+def observer_overhead_ab(prepared, pairs: int = OBSERVER_AB_PAIRS) -> list:
+    """Per-pair slowdown of LRU replays with the observer hooks present.
+
+    Each pair replays ``prepared`` through the shipped cache (hooks
+    present, none registered) and through the same cache with the hooks
+    compiled out, back to back in alternating order, timed in process CPU
+    time with the garbage collector paused.  Returns ``present / absent -
+    1`` per pair.  Raises if the two sides simulate differently.
+    """
+    import gc
+
+    from repro.eval import runner
+
+    sides = (runner.Cache, _cache_without_observers())
+    ratios = []
+    results = [None, None]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for pair in range(max(1, pairs)):
+            seconds = [0.0, 0.0]
+            for side in (0, 1) if pair % 2 == 0 else (1, 0):
+                runner.Cache = sides[side]
+                started = time.process_time()
+                results[side] = runner.replay(prepared, "lru")
+                seconds[side] = time.process_time() - started
+            ratios.append(seconds[0] / seconds[1] - 1.0)
+    finally:
+        runner.Cache = sides[0]
+        if was_enabled:
+            gc.enable()
+    if results[0] != results[1]:
+        raise RuntimeError("observer-free cache simulated differently")
+    return ratios
+
+
 def bench_overhead(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
     """The disabled-path budget guards as history-tracked checks.
 
@@ -425,17 +522,23 @@ def bench_overhead(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
         "unit": "fraction of smallest replay",
     }
 
-    # Decision log disabled: the only residue is one empty-list loop per
-    # eviction.
-    evictions = result.llc_stats["evictions"]
-    empty = []
-    loop_seconds = timeit.timeit(
-        lambda: [None for _ in empty], number=max(int(evictions), 1)
+    # Decision log disabled: the replay registers no observer and never
+    # enters the eviction-notification branch (a traced replay does, so
+    # the probes are live).  What the hooks still cost is an A/B of real
+    # replays, hooks present versus compiled out: they bust the budget
+    # only when present is slower by more than the budget in at least
+    # nine pairs out of ten (a single pair is noise on a shared host).
+    plain = (observer_probes(prepared) == []
+             and "_notify_eviction" in observer_probes(prepared, traced=True))
+    ratios = observer_overhead_ab(
+        prepared, pairs=max(repeats, OBSERVER_AB_PAIRS)
     )
-    ratio = loop_seconds / replay_seconds
+    over = sum(ratio > budget for ratio in ratios)
     checks["decision_observer_loop"] = {
-        "value": round(ratio, 6), "budget": budget, "ok": ratio < budget,
-        "unit": "fraction of smallest replay",
+        "value": round(statistics.median(ratios), 6), "budget": budget,
+        "ok": plain and over < 0.9 * len(ratios),
+        "pairs": len(ratios), "pairs_over_budget": over,
+        "unit": "median replay slowdown, hooks present vs absent",
     }
 
     # profiled()/span()/registry identity: the disabled path binds the

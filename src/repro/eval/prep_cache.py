@@ -42,7 +42,7 @@ from repro.traces.record import Trace
 from repro.traces.trace_io import trace_to_bytes
 
 #: Bump to invalidate every existing cache entry (layout changes).
-FORMAT_VERSION = 3  # v3: framed container (repro.store) around the pickle
+FORMAT_VERSION = 4  # v4: columnar LLC stream inside the framed pickle
 
 #: Frame-container family tag for cache entries.
 PREP_CACHE_FAMILY = "prep-cache"

@@ -19,6 +19,7 @@ OPT's future knowledge.
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -33,7 +34,7 @@ from repro.eval.workloads import EvalConfig
 from repro.sanitize import wrap_policy
 from repro.telemetry import profiled, span
 from repro.testing.faults import maybe_fault
-from repro.traces.record import Trace
+from repro.traces.record import AccessType, Trace, TraceRecord
 
 
 @dataclass
@@ -60,6 +61,30 @@ class PreparedWorkload:
     def llc_line_stream(self) -> list:
         """Line addresses of the stream (Belady's future knowledge)."""
         return [record.line_address for record in self.llc_records]
+
+    def __getstate__(self) -> dict:
+        # Pickled as typed columns: one array per record field instead of
+        # one dataclass state per record (the prep cache and the sweep
+        # workers both pickle whole streams).
+        state = dict(self.__dict__)
+        records = state.pop("llc_records")
+        state["llc_columns"] = (
+            array("Q", (record.address for record in records)),
+            array("Q", (record.pc for record in records)),
+            array("B", (record.access_type for record in records)),
+            array("q", (record.instr_delta for record in records)),
+            array("q", (record.core for record in records)),
+        )
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        addresses, pcs, types, deltas, cores = state.pop("llc_columns")
+        access_types = list(AccessType)
+        state["llc_records"] = list(map(
+            TraceRecord, addresses, pcs, [access_types[t] for t in types],
+            deltas, cores,
+        ))
+        self.__dict__.update(state)
 
 
 def _core_config(core_config: Optional[CoreConfig]) -> CoreConfig:
@@ -147,7 +172,7 @@ def replay(
 
     ``detailed`` forces Table II metadata maintenance on the replay cache
     (defaults to the policy's own ``needs_line_metadata``); ``observers`` are
-    attached as eviction observers (Figures 5-7 instrumentation).
+    attached as decision observers (Figures 5-7 instrumentation).
     ``sanitize`` selects the policy-contract sanitizer mode (see
     :mod:`repro.sanitize`); wrapping here, before ``bind``, lets the
     sanitizer observe the policy's full lifecycle.
@@ -201,7 +226,7 @@ def replay(
                 sanitize=sanitize,
             )
         for observer in observers or []:
-            cache.add_eviction_observer(observer)
+            cache.add_decision_observer(observer)
         if decisions is not None:
             cache.add_decision_observer(decisions.on_decision)
             cache.add_access_observer(decisions.on_access)

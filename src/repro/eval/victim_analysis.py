@@ -135,7 +135,7 @@ class VictimStatistics:
 
 
 class VictimCollector:
-    """Eviction observer accumulating the Figures 5-7 statistics.
+    """Decision observer accumulating the Figures 5-7 statistics.
 
     The pre-decision-stream implementation, retained as an independent
     cross-check of :meth:`VictimStatistics.from_events` (and for callers
@@ -147,12 +147,12 @@ class VictimCollector:
         self._hits = {key: 0 for key in HITS_BUCKETS}
         self._recency = defaultdict(int)
 
-    def __call__(self, set_index, line, access) -> None:
+    def __call__(self, cache_set, way, line, access) -> None:
         self._ages_by_type[line.last_access_type].append(
-            line.age_since_last_access
+            cache_set.accesses - line.stamp
         )
         self._hits[_hits_bucket(line.hits_since_insertion)] += 1
-        self._recency[line.recency] += 1
+        self._recency[cache_set.ranks()[way]] += 1
 
     def statistics(self) -> VictimStatistics:
         victims = sum(self._hits.values())

@@ -54,6 +54,11 @@ ALL_FEATURE_NAMES = tuple(
 )
 
 
+# Per-type count indices, bound once: an enum member lookup costs more than
+# the list index it feeds, and the line loop does four per way.
+_LOAD, _RFO, _PREFETCH, _WRITEBACK = AccessType
+
+
 def _one_hot(access_type: AccessType) -> list:
     encoding = [0.0, 0.0, 0.0, 0.0]
     encoding[access_type] = 1.0
@@ -171,7 +176,9 @@ class FeatureExtractor:
                 norm("set_accesses_since_miss", float(cache_set.accesses_since_miss))
             )
         recency_scale = max(1, self.ways - 1)
-        for line in cache_set.lines:
+        now = cache_set.accesses
+        ranks = cache_set.ranks() if "line_recency" in enabled else None
+        for way, line in enumerate(cache_set.lines):
             valid = line.valid
             if "line_offset" in enabled:
                 values.extend(_binary(line.offset if valid else 0, 6))
@@ -181,13 +188,13 @@ class FeatureExtractor:
                 values.append(norm("line_preuse", float(line.preuse)) if valid else 0.0)
             if "line_age_insertion" in enabled:
                 values.append(
-                    norm("line_age_insertion", float(line.age_since_insertion))
+                    norm("line_age_insertion", float(now - line.fill_at))
                     if valid
                     else 0.0
                 )
             if "line_age_last_access" in enabled:
                 values.append(
-                    norm("line_age_last_access", float(line.age_since_last_access))
+                    norm("line_age_last_access", float(now - line.stamp))
                     if valid
                     else 0.0
                 )
@@ -195,20 +202,20 @@ class FeatureExtractor:
                 values.extend(_one_hot(line.last_access_type) if valid else [0.0] * 4)
             if "line_ld_count" in enabled:
                 values.append(
-                    norm("line_ld_count", float(line.access_counts[AccessType.LOAD]))
+                    norm("line_ld_count", float(line.access_counts[_LOAD]))
                     if valid
                     else 0.0
                 )
             if "line_rfo_count" in enabled:
                 values.append(
-                    norm("line_rfo_count", float(line.access_counts[AccessType.RFO]))
+                    norm("line_rfo_count", float(line.access_counts[_RFO]))
                     if valid
                     else 0.0
                 )
             if "line_pf_count" in enabled:
                 values.append(
                     norm(
-                        "line_pf_count", float(line.access_counts[AccessType.PREFETCH])
+                        "line_pf_count", float(line.access_counts[_PREFETCH])
                     )
                     if valid
                     else 0.0
@@ -217,7 +224,7 @@ class FeatureExtractor:
                 values.append(
                     norm(
                         "line_wb_count",
-                        float(line.access_counts[AccessType.WRITEBACK]),
+                        float(line.access_counts[_WRITEBACK]),
                     )
                     if valid
                     else 0.0
@@ -229,5 +236,5 @@ class FeatureExtractor:
                     else 0.0
                 )
             if "line_recency" in enabled:
-                values.append(line.recency / recency_scale if valid else 0.0)
+                values.append(ranks[way] / recency_scale if valid else 0.0)
         return np.asarray(values, dtype=np.float64)

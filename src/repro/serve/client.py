@@ -49,6 +49,7 @@ from repro.serve.protocol import (
     decode_frame,
     encode_frame,
     hook_request,
+    line_to_wire,
     victim_request,
 )
 from repro.telemetry import get_registry
@@ -274,6 +275,9 @@ class ServerBackedPolicy(ReplacementPolicy):
         self.uses_pc = bool(getattr(factory, "uses_pc", False))
         self._client = None
         self._seq = 0
+        #: Wire lines of the last victim request: its ``on_evict`` follows
+        #: at once and reports the victim exactly as that snapshot did.
+        self._victim_lines = None
         self.local_fallbacks = 0  #: decisions served by the local LRU path
         self.server_fallbacks = 0  #: server replies flagged source=fallback
 
@@ -311,9 +315,14 @@ class ServerBackedPolicy(ReplacementPolicy):
             ))
             self.uses_pc = bool(reply.get("uses_pc", self.uses_pc))
 
+    def _fresh_line(self, line) -> dict:
+        """A line just hit or filled: the set's MRU, aged 0 since access."""
+        return line_to_wire(line, self.ways - 1, line.stamp)
+
     def on_hit(self, set_index, way, line, access) -> None:
         self._ensure_client().send(hook_request(
-            self._tenant, "on_hit", set_index, access, way=way, line=line
+            self._tenant, "on_hit", set_index, access, way=way,
+            line=self._fresh_line(line),
         ))
 
     def on_miss(self, set_index, access) -> None:
@@ -322,21 +331,28 @@ class ServerBackedPolicy(ReplacementPolicy):
         ))
 
     def on_evict(self, set_index, way, line, access) -> None:
+        # Without a victim request before it there is no snapshot to rank
+        # the line in; report it as of its own last access.
+        lines = self._victim_lines
         self._ensure_client().send(hook_request(
-            self._tenant, "on_evict", set_index, access, way=way, line=line
+            self._tenant, "on_evict", set_index, access, way=way,
+            line=lines[way] if lines else line_to_wire(line, 0, line.stamp),
         ))
 
     def on_fill(self, set_index, way, line, access) -> None:
         self._ensure_client().send(hook_request(
-            self._tenant, "on_fill", set_index, access, way=way, line=line
+            self._tenant, "on_fill", set_index, access, way=way,
+            line=self._fresh_line(line),
         ))
 
     def victim(self, set_index, cache_set, access) -> int:
         self._seq += 1
         request_id = f"{self._tenant}-{self._seq}"
-        reply = self._ensure_client().request(victim_request(
+        frame = victim_request(
             self._tenant, request_id, set_index, cache_set, access
-        ))
+        )
+        self._victim_lines = frame["set_state"]["lines"]
+        reply = self._ensure_client().request(frame)
         way = self._validate(reply, cache_set)
         if way is None:
             # Local LRU fallback: the sidecar contract — the cache never

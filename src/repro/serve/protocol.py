@@ -34,9 +34,9 @@ The codecs below round-trip the simulator's value types
 :class:`~repro.cache.block.CacheLine`,
 :class:`~repro.cache.cache_set.CacheSet`) exactly: the server rebuilds a
 *real* ``CacheSet`` from the wire form, so server-side policies see the
-same object surface (``lru_way``, ``valid_ways``, ``lines[way].recency``,
-...) as in-process ones — that equivalence is what makes no-fault
-server-backed reports byte-identical to in-process reports.
+same object surface (``lru_way``, ``valid_ways``, ``lines[way].stamp``,
+``ranks()``, ...) as in-process ones — that equivalence is what makes
+no-fault server-backed reports byte-identical to in-process reports.
 """
 
 from __future__ import annotations
@@ -115,10 +115,14 @@ def access_from_wire(data: dict) -> TraceRecord:
         raise FrameError(f"invalid access payload {data!r}: {error}") from error
 
 
-def line_to_wire(line: CacheLine) -> dict:
-    """Every Table II field of one cache line (invalid lines stay small)."""
+def line_to_wire(line: CacheLine, rank: int, now: int) -> dict:
+    """Every Table II field of one cache line (invalid lines stay small).
+
+    ``rank`` is the line's recency position and ``now`` its set's access
+    count: the wire carries ages and ranks, never the set-local stamps.
+    """
     if not line.valid:
-        return {"v": 0, "r": line.recency}
+        return {"v": 0, "r": rank}
     return {
         "v": 1,
         "tag": line.tag,
@@ -131,18 +135,19 @@ def line_to_wire(line: CacheLine) -> dict:
         "lat": int(line.last_access_type),
         "int": int(line.insertion_type),
         "pre": line.preuse,
-        "ai": line.age_since_insertion,
-        "al": line.age_since_last_access,
+        "ai": now - line.fill_at,
+        "al": now - line.stamp,
         "h": line.hits_since_insertion,
         "ac": list(line.access_counts),
-        "r": line.recency,
+        "r": rank,
     }
 
 
-def line_from_wire(data: dict) -> CacheLine:
+def line_from_wire(data: dict, now: int = 0) -> CacheLine:
+    """Rebuild a line whose set has made ``now`` accesses: the ages become
+    stamps again, which also restores its recency order."""
     try:
         line = CacheLine()
-        line.recency = int(data.get("r", 0))
         if not data.get("v"):
             return line
         line.valid = True
@@ -156,8 +161,8 @@ def line_from_wire(data: dict) -> CacheLine:
         line.last_access_type = AccessType(int(data.get("lat", 0)))
         line.insertion_type = AccessType(int(data.get("int", 0)))
         line.preuse = int(data.get("pre", 0))
-        line.age_since_insertion = int(data.get("ai", 0))
-        line.age_since_last_access = int(data.get("al", 0))
+        line.fill_at = now - int(data.get("ai", 0))
+        line.stamp = now - int(data.get("al", 0))
         line.hits_since_insertion = int(data.get("h", 0))
         line.access_counts = [int(count) for count in data.get("ac", [0] * 4)]
         return line
@@ -167,13 +172,17 @@ def line_from_wire(data: dict) -> CacheLine:
 
 def set_to_wire(cache_set) -> dict:
     """A full cache-set snapshot: lines plus the Table II set counters."""
+    now = cache_set.accesses
     return {
         "i": cache_set.index,
         "w": cache_set.ways,
-        "acc": cache_set.accesses,
+        "acc": now,
         "asm": cache_set.accesses_since_miss,
         "m": cache_set.misses,
-        "lines": [line_to_wire(line) for line in cache_set.lines],
+        "lines": [
+            line_to_wire(line, rank, now)
+            for line, rank in zip(cache_set.lines, cache_set.ranks())
+        ],
     }
 
 
@@ -191,11 +200,13 @@ def set_from_wire(data: dict) -> CacheSet:
                 f"set snapshot carries {len(lines) if isinstance(lines, list) else '?'}"
                 f" lines for {ways} ways"
             )
-        cache_set = CacheSet(int(data["i"]), ways)
-        cache_set.accesses = int(data.get("acc", 0))
+        now = int(data.get("acc", 0))
+        cache_set = CacheSet(
+            int(data["i"]), ways, [line_from_wire(line, now) for line in lines]
+        )
+        cache_set.accesses = now
         cache_set.accesses_since_miss = int(data.get("asm", 0))
         cache_set.misses = int(data.get("m", 0))
-        cache_set.lines = [line_from_wire(line) for line in lines]
         return cache_set
     except FrameError:
         raise
@@ -243,7 +254,9 @@ def bind_request(tenant: str, policy: str, config: CacheConfig,
 
 
 def hook_request(tenant: str, kind: str, set_index: int, access,
-                 way: int = None, line=None) -> dict:
+                 way: int = None, line: dict = None) -> dict:
+    """A lifecycle event; ``line`` is already in wire form
+    (:func:`line_to_wire`)."""
     frame = {
         "op": "hook",
         "tenant": tenant,
@@ -254,7 +267,7 @@ def hook_request(tenant: str, kind: str, set_index: int, access,
     if way is not None:
         frame["way"] = way
     if line is not None:
-        frame["line"] = line_to_wire(line)
+        frame["line"] = line
     return frame
 
 

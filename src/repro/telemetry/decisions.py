@@ -12,8 +12,8 @@ Design rules (mirroring :func:`repro.telemetry.profiling.profiled`):
 
 * **Identity when disabled.**  A replay without a :class:`DecisionTrace`
   executes the exact hot-loop code it always did; the only residue is the
-  cache's empty ``decision_observers`` list (one no-op ``for`` per
-  eviction, same as the pre-existing ``eviction_observers``).
+  cache's ``_observed`` test, which stays False, so the eviction path
+  never enters its observer branch.
 * **Deterministic.**  Events are a pure function of the (deterministic)
   replay; sampling is counter-based (every ``sample_rate``-th eviction),
   never randomized; every recorded quantity is an integer.  Logs written
@@ -292,6 +292,7 @@ class DecisionTrace:
         if not sampled and grade != HARMFUL:
             return  # nothing left to record for this eviction
 
+        now = cache_set.accesses
         event = DecisionEvent(
             index=self.index,
             set_index=set_index,
@@ -299,11 +300,11 @@ class DecisionTrace:
             kind=KIND_EVICT,
             grade=grade,
             victim_line=line.line_address,
-            victim_age_insert=_clamp(line.age_since_insertion, 0xFFFFFFFF),
-            victim_age_last=_clamp(line.age_since_last_access, 0xFFFFFFFF),
+            victim_age_insert=_clamp(now - line.fill_at, 0xFFFFFFFF),
+            victim_age_last=_clamp(now - line.stamp, 0xFFFFFFFF),
             victim_hits=_clamp(line.hits_since_insertion, 0xFFFFFFFF),
             victim_last_type=int(line.last_access_type),
-            victim_recency=_clamp(line.recency, 0xFF),
+            victim_recency=_clamp(cache_set.ranks()[way], 0xFF),
             pc=access.pc,
             address=access.address,
             access_type=int(access.access_type),

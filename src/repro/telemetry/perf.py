@@ -10,7 +10,7 @@ phase                  meaning
 ``trace_decode``       loop overhead outside ``cache.access`` (iteration,
                        warm-up bookkeeping, cycle accumulation)
 ``tag_lookup``         ``cache.access`` minus everything attributed below
-                       (set indexing, tag match, recency/stats maintenance)
+                       (set indexing, tag dict lookup, stamp/stats upkeep)
 ``victim_scoring``     ``policy.victim`` minus feature extraction
 ``feature_extraction`` separable per-candidate scoring (``priority`` on the
                        object-cache policies; zero where scoring is inlined)

@@ -29,7 +29,7 @@ class AccessType(IntEnum):
     @property
     def is_demand(self) -> bool:
         """True for access types that stall the core (LOAD and RFO)."""
-        return self in (AccessType.LOAD, AccessType.RFO)
+        return self in _DEMAND_TYPES
 
     @property
     def short_name(self) -> str:
@@ -45,6 +45,11 @@ _SHORT_NAMES = {
 }
 
 _FROM_SHORT = {name: atype for atype, name in _SHORT_NAMES.items()}
+
+# Module constants: looking members up on the enum class costs more than
+# the membership test itself, and these tests run on every cache access.
+_DEMAND_TYPES = (AccessType.LOAD, AccessType.RFO)
+_WRITE_TYPES = (AccessType.RFO, AccessType.WRITEBACK)
 
 
 def access_type_from_name(name: str) -> AccessType:
@@ -90,7 +95,7 @@ class TraceRecord:
     @property
     def is_write(self) -> bool:
         """True if the access writes the line (RFO or WRITEBACK)."""
-        return self.access_type in (AccessType.RFO, AccessType.WRITEBACK)
+        return self.access_type in _WRITE_TYPES
 
 
 @dataclass

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cache import Cache, CacheConfig
 from repro.cache.replacement import BYPASS, ReplacementPolicy, make_policy
+from repro.traces import AccessType
 
 from tests.conftest import load, prefetch, rfo, writeback
 
@@ -172,4 +173,23 @@ class TestDetailedFlag:
         line = cache.sets[0].lines[cache.sets[0].find(tiny_config.tag(0))]
         assert line.dirty
         assert line.hits_since_insertion == 0  # metadata not maintained
-        assert line.age_since_insertion == 0
+        assert line.preuse == 0
+        assert line.access_counts == [1, 0, 0, 0]
+        assert line.last_access_type is AccessType.LOAD
+
+
+class TestInvalidateLine:
+    def test_lru_victim_after_invalidate_is_true_lru(self):
+        """Back-invalidation frees a way without disturbing the recency
+        order of the remaining lines: the next eviction takes the true LRU
+        line (3), not the line a gapped recency stack tie-broke to (2)."""
+        config = CacheConfig("one-set", 1 * 4 * 64, 4, latency=1)
+        policy = make_policy("lru")
+        policy.bind(config)
+        cache = Cache(config, policy, detailed=False)
+        for line in (0, 1, 2, 3, 2, 0, 1):
+            cache.access(load(line))
+        assert cache.invalidate_line(0) == (True, False)
+        assert cache.access(load(9)).evicted_line_address == -1  # free way
+        assert cache.access(load(10)).evicted_line_address == 3
+        assert sorted(cache.sets[0].ranks()) == [0, 1, 2, 3]

@@ -79,5 +79,9 @@ class TestRandom:
             cache.access(load(rng.randrange(40)))
         # No exception and all sets remain consistent.
         for cache_set in cache.sets:
-            recencies = [l.recency for l in cache_set.lines if l.valid]
-            assert len(set(recencies)) == len(recencies)
+            stamps = [l.stamp for l in cache_set.lines if l.valid]
+            assert len(set(stamps)) == len(stamps)
+            all_ranks = cache_set.ranks()
+            ranks = sorted(all_ranks[way] for way in cache_set.valid_ways())
+            ways = cache_set.ways
+            assert ranks == list(range(ways - len(ranks), ways))

@@ -41,8 +41,9 @@ class TestCacheInvariants:
               suppress_health_check=[HealthCheck.too_slow])
     @given(accesses=_access_strategy, policy_name=st.sampled_from(_POLICIES))
     def test_recency_values_stay_distinct_and_bounded(self, accesses, policy_name):
-        # Recencies of valid lines are distinct values in [0, ways), and a
-        # full set holds exactly the dense permutation 0..ways-1.
+        # Recency stamps of valid lines are distinct, their ranks are
+        # distinct values in [0, ways), and a full set holds exactly the
+        # dense permutation 0..ways-1.
         config = CacheConfig("c", 4 * 4 * 64, 4, latency=1)
         policy = make_policy(policy_name)
         policy.bind(config)
@@ -50,7 +51,10 @@ class TestCacheInvariants:
         for record in _records(accesses):
             cache.access(record)
             for cache_set in cache.sets:
-                recencies = [l.recency for l in cache_set.lines if l.valid]
+                stamps = [l.stamp for l in cache_set.lines if l.valid]
+                assert len(set(stamps)) == len(stamps)
+                ranks = cache_set.ranks()
+                recencies = [ranks[way] for way in cache_set.valid_ways()]
                 assert len(set(recencies)) == len(recencies)
                 assert all(0 <= r < config.ways for r in recencies)
                 if len(recencies) == config.ways:

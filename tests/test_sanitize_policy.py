@@ -214,7 +214,7 @@ _GEOMETRIES = st.sampled_from([(2, 2), (4, 4), (2, 8), (8, 2)])
 
 def _set_state(cache_set):
     return [
-        (line.valid, line.tag, line.line_address, line.dirty, line.recency)
+        (line.valid, line.tag, line.line_address, line.dirty, line.stamp)
         for line in cache_set.lines
     ]
 

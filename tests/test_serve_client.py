@@ -15,6 +15,7 @@ from repro.serve.client import (
     ServerBackedPolicy,
     backoff_delays,
 )
+from repro.serve.protocol import set_to_wire
 from repro.serve.server import ServeConfig, start_in_thread
 from repro.traces.record import AccessType, TraceRecord
 
@@ -26,9 +27,9 @@ def _record() -> TraceRecord:
 
 def _full_set(ways: int = 4) -> CacheSet:
     cache_set = CacheSet(0, ways)
-    for way, line in enumerate(cache_set.lines):
-        line.fill(0x10 + way, 0x4000 + way, _record())
-        line.recency = way
+    for way in range(ways):  # way 0 filled first: the LRU line
+        cache_set.accesses += 1
+        cache_set.fill(way, 0x10 + way, 0x4000 + way, _record())
     return cache_set
 
 
@@ -123,7 +124,7 @@ class TestReplyValidation:
 
     def test_invalid_way_rejected(self):
         cache_set = _full_set()
-        cache_set.lines[2].valid = False
+        cache_set.invalidate(2)
         assert self._policy()._validate(
             {"ok": True, "way": 2}, cache_set
         ) is None
@@ -160,11 +161,35 @@ class TestDeadServerFallback:
         policy._tenant = "t-dead"
         policy.on_miss(0, _record())
         line = CacheLine()
-        line.fill(0x1, 0x4000, _record())
+        line.fill(0x1, 0x4000, _record(), now=0)
         policy.on_hit(0, 0, line, _record())
         policy.on_evict(0, 0, line, _record())
         policy.on_fill(0, 0, line, _record())
         assert policy._ensure_client().dropped_hooks >= 1
+
+
+class TestHookLines:
+    def test_hook_lines_match_the_set_snapshot(self):
+        """``on_evict`` reports the victim as the victim request's snapshot
+        did; ``on_fill`` reports the new line as the set now encodes it."""
+        policy = ServerBackedPolicy("lru", "127.0.0.1", 1)
+        policy._tenant = "t-hooks"
+        policy.ways = 4
+        sent = []
+        client = policy._ensure_client()
+        client.send = sent.append
+        client.request = lambda frame: None  # unreachable: local LRU
+        cache_set = _full_set()
+        cache_set.accesses += 3
+        before = set_to_wire(cache_set)["lines"]
+        way = policy.victim(0, cache_set, _record())
+        policy.on_evict(0, way, cache_set.lines[way], _record())
+        assert sent[-1]["line"] == before[way]
+        cache_set.accesses += 1
+        line = cache_set.fill(way, 0x99, 0x4099, _record())
+        policy.on_fill(0, way, line, _record())
+        assert sent[-1]["line"] == set_to_wire(cache_set)["lines"][way]
+        policy.close()
 
 
 class TestAgainstLiveServer:

@@ -41,11 +41,10 @@ def _populated_set(ways: int = 4) -> CacheSet:
     cache_set = CacheSet(3, ways)
     record = _record()
     for way in range(ways - 1):  # one way left invalid on purpose
-        line = cache_set.lines[way]
-        line.fill(0x100 + way, 0x4000 + way, record)
-        line.touch(_record(pc=0x99))
-        line.recency = way
-    cache_set.lines[ways - 1].recency = ways - 1
+        cache_set.accesses += 1
+        line = cache_set.fill(way, 0x100 + way, 0x4000 + way, record)
+        cache_set.accesses += 1
+        line.touch(_record(pc=0x99), cache_set.accesses)
     cache_set.accesses = 17
     cache_set.accesses_since_miss = 5
     cache_set.misses = 3
@@ -94,24 +93,25 @@ class TestAccessCodec:
 
 class TestLineCodec:
     def test_invalid_line_round_trip(self):
-        line = CacheLine()
-        line.recency = 9
-        back = line_from_wire(line_to_wire(line))
+        wire = line_to_wire(CacheLine(), 9, 0)
+        assert wire == {"v": 0, "r": 9}
+        back = line_from_wire(wire)
         assert not back.valid
-        assert back.recency == 9
+        assert line_to_wire(back, 9, 0) == wire
 
     def test_valid_line_round_trip_preserves_table2_metadata(self):
         line = CacheLine()
-        line.fill(0x77, 0x4000, _record())
-        line.touch(_record(pc=0x99))
-        line.recency = 2
-        back = line_from_wire(line_to_wire(line))
+        line.fill(0x77, 0x4000, _record(), now=5)
+        line.touch(_record(pc=0x99), now=11)
+        wire = line_to_wire(line, 2, 20)
+        assert (wire["ai"], wire["al"], wire["r"]) == (15, 9, 2)
+        back = line_from_wire(wire, 20)
         for field in ("valid", "tag", "line_address", "dirty", "offset",
                       "core", "insertion_pc", "last_pc", "last_access_type",
-                      "insertion_type", "preuse", "age_since_insertion",
-                      "age_since_last_access", "hits_since_insertion",
-                      "access_counts", "recency"):
+                      "insertion_type", "preuse", "hits_since_insertion",
+                      "access_counts", "stamp", "fill_at"):
             assert getattr(back, field) == getattr(line, field), field
+        assert line_to_wire(back, 2, 20) == wire
 
 
 class TestSetCodec:
@@ -127,6 +127,10 @@ class TestSetCodec:
         assert [line.valid for line in back.lines] == \
                [line.valid for line in original.lines]
         assert back.lru_way() == original.lru_way()
+        assert back.ranks() == original.ranks() == [1, 2, 3, 0]
+        assert back.way_of == original.way_of
+        assert encode_frame(set_to_wire(back)) == \
+               encode_frame(set_to_wire(original))
 
     def test_bad_set_state_raises_frame_error(self):
         with pytest.raises(FrameError):

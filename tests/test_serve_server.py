@@ -30,9 +30,9 @@ def _config() -> CacheConfig:
 
 def _full_set(ways: int = 16) -> CacheSet:
     cache_set = CacheSet(0, ways)
-    for way, line in enumerate(cache_set.lines):
-        line.fill(0x10 + way, 0x4000 + way, _record())
-        line.recency = way
+    for way in range(ways):  # way 0 filled first: the LRU line
+        cache_set.accesses += 1
+        cache_set.fill(way, 0x10 + way, 0x4000 + way, _record())
     return cache_set
 
 

@@ -12,11 +12,14 @@ import time
 import timeit
 
 from repro import telemetry
+from repro.cache import CacheConfig
+from repro.cache.replacement import make_policy
 from repro.eval.runner import prepare_workload, replay
 from repro.eval.workloads import EvalConfig
 from repro.telemetry.profiling import profiled
 from repro.telemetry.registry import NULL_REGISTRY
 from repro.telemetry.spans import NULL_SPAN
+from repro.traces import TraceRecord
 
 
 class TestDisabledPathIsStructurallyFree:
@@ -106,8 +109,8 @@ class TestDecisionTracingDisabledPath:
     """Decision tracing off must be as free as telemetry off."""
 
     def test_untraced_cache_has_no_decision_observers(self):
-        """The only disabled-path residue is one empty-list ``for`` per
-        eviction — same shape as the pre-existing eviction_observers."""
+        """An untraced cache keeps no observer, so its access and eviction
+        paths skip every observer branch."""
         from repro.cache import Cache, CacheConfig
         from repro.cache.replacement import make_policy
 
@@ -116,6 +119,7 @@ class TestDecisionTracingDisabledPath:
         policy.bind(config)
         cache = Cache(config, policy)
         assert cache.decision_observers == []
+        assert cache._observed is False
 
     def test_untraced_replay_leaves_no_active_trace(self):
         from repro.telemetry.decisions import active_trace
@@ -146,26 +150,36 @@ class TestDecisionTracingDisabledPath:
         assert after == baseline
         assert decisions.evictions > 0
 
-    def test_disabled_observer_loop_under_two_percent_of_replay(self):
-        """Bound the one remaining disabled-path cost: iterating the empty
-        ``decision_observers`` list once per eviction."""
+    def test_disabled_path_registers_no_observers(self):
+        """Decision tracing off: the replay registers no observer and never
+        enters the eviction-notification branch, although it evicts.  With
+        tracing on the same probes fire, so they would see a regression."""
+        from repro.eval.bench import observer_probes
+
         eval_config = EvalConfig(scale=64, trace_length=1500, seed=7)
         prepared = prepare_workload(eval_config, eval_config.trace("429.mcf"))
+        assert replay(prepared, "lru").llc_stats["evictions"] > 0
+        assert observer_probes(prepared) == []
+        assert observer_probes(prepared, traced=True) == [
+            "_notify_eviction", "add_access_observer", "add_decision_observer",
+        ]
 
-        started = time.perf_counter()
-        repeats = 5
-        for _ in range(repeats):
-            result = replay(prepared, "lru")
-        replay_seconds = (time.perf_counter() - started) / repeats
+    def test_observer_free_cache_differs_only_by_the_guards(self):
+        """The A/B's hooks-absent side is the shipped cache minus its
+        ``_observed`` branches, and simulates identically."""
+        from repro.cache.cache import Cache
+        from repro.eval.bench import _cache_without_observers
 
-        evictions = result.llc_stats["evictions"]
-        empty = []
-        loop_seconds = timeit.timeit(
-            lambda: [None for callback in empty],
-            number=max(evictions, 1),
-        )
-
-        assert loop_seconds < 0.02 * replay_seconds, (
-            f"empty decision-observer loops cost {loop_seconds * 1e6:.2f}us "
-            f"per replay vs replay {replay_seconds * 1e3:.2f}ms"
-        )
+        absent = _cache_without_observers()
+        for method in ("access", "_handle_miss"):
+            assert "_observed" in getattr(Cache, method).__code__.co_names
+            assert "_observed" not in getattr(absent, method).__code__.co_names
+        config = CacheConfig("c", 4 * 4 * 64, 4, latency=1)
+        caches = []
+        for cache_class in (Cache, absent):
+            policy = make_policy("lru")
+            policy.bind(config)
+            caches.append(cache_class(config, policy))
+        for line in [0, 4, 8, 12, 16, 0, 20, 4] * 3:
+            record = TraceRecord(address=line * 64)
+            assert caches[0].access(record) == caches[1].access(record)

@@ -29,7 +29,7 @@ class TestCollector:
         policy.bind(config)
         cache = Cache(config, policy, detailed=True)
         collector = VictimCollector()
-        cache.add_eviction_observer(collector)
+        cache.add_decision_observer(collector)
         for line in range(6):
             cache.access(load(line))
         stats = collector.statistics()
@@ -42,7 +42,7 @@ class TestCollector:
         policy.bind(config)
         cache = Cache(config, policy, detailed=True)
         collector = VictimCollector()
-        cache.add_eviction_observer(collector)
+        cache.add_decision_observer(collector)
         cache.access(prefetch(0))
         cache.access(load(1))
         cache.access(load(2))  # evicts the prefetched line 0 (LRU)
