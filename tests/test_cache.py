@@ -1,5 +1,7 @@
 """Tests for the Cache: hit/miss flow, eviction, bypass, observers."""
 
+import gc
+
 import pytest
 
 from repro.cache import Cache, CacheConfig
@@ -176,6 +178,24 @@ class TestDetailedFlag:
         assert line.preuse == 0
         assert line.access_counts == [1, 0, 0, 0]
         assert line.last_access_type is AccessType.LOAD
+
+
+class TestLifetime:
+    def test_cache_state_is_freed_by_refcount(self, tiny_config):
+        """No line or set refers back to its owner: dropping a used cache
+        leaves no reference cycle for the garbage collector."""
+        gc.collect()
+        gc.disable()
+        try:
+            policy = make_policy("lru")
+            policy.bind(tiny_config)
+            cache = Cache(tiny_config, policy)
+            for line in range(40):
+                cache.access(load(line % 23))
+            del cache, policy
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestInvalidateLine:
