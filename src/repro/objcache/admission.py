@@ -132,25 +132,35 @@ class FrequencyGateAdmission(AdmissionHook):
         self.reset_interval = reset_interval
         self._rows = [[0] * width for _ in range(depth)]
         self._since_reset = 0
+        # Each row bound once to its hash multiplier.
+        self._hashes = tuple(zip(self._rows, self._MULTIPLIERS))
+        self._last_key = None
+        self._last_slots = ()
 
     def _slots(self, key: int):
-        for row in range(self.depth):
-            mixed = (key * self._MULTIPLIERS[row]) & self._MASK
-            mixed ^= mixed >> 29
-            yield row, mixed % self.width
+        """(row, slot) pairs of ``key``; computed once for consecutive calls
+        with one key, as ``record`` then ``admit`` make for one request."""
+        if key != self._last_key:
+            width, mask = self.width, self._MASK
+            slots = []
+            for row, multiplier in self._hashes:
+                mixed = (key * multiplier) & mask
+                mixed ^= mixed >> 29
+                slots.append((row, mixed % width))
+            self._last_key, self._last_slots = key, slots
+        return self._last_slots
 
     def estimate(self, key: int) -> int:
-        return min(self._rows[row][slot] for row, slot in self._slots(key))
+        return min(row[slot] for row, slot in self._slots(key))
 
     def record(self, request, now):
         for row, slot in self._slots(request.key):
-            if self._rows[row][slot] < self._COUNTER_MAX:
-                self._rows[row][slot] += 1
+            if row[slot] < self._COUNTER_MAX:
+                row[slot] += 1
         self._since_reset += 1
         if self._since_reset >= self.reset_interval:
             for row in self._rows:
-                for slot in range(self.width):
-                    row[slot] >>= 1
+                row[:] = [count >> 1 for count in row]
             self._since_reset = 0
 
     def admit(self, request, now):

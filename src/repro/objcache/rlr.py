@@ -27,10 +27,18 @@ keep what wins byte-hit-rate.
 
 Like production samplers (and unlike the 16-way CPU cache where scanning
 the whole set is free), the victim scan examines the ``sample`` least
-recently used residents rather than the full store.
+recently used residents rather than the full store.  It scans them as two
+columns kept in LRU -> MRU order: each resident's last-access stamp and its
+:meth:`~ObjectRLRPolicy.static_priority`.  Stamps rise strictly along the
+order (one access per request), so the ``P_age = 8`` candidates are a
+suffix one ``bisect`` finds; a ``min`` per side and one ``list.index``
+then pick the victim, with no Python call per candidate.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
+from itertools import islice
 
 from repro.core.rd_estimator import ReuseDistanceEstimator
 
@@ -42,6 +50,7 @@ from .policies import ObjectEvictionPolicy, register_object_policy
 DEFAULT_SIZE_WEIGHT = 16
 
 PRIORITY_SCALE = 16
+AGE_PRIORITY = 8 * PRIORITY_SCALE  # P_age = 8, scaled
 
 
 class ObjectRLRPolicy(ObjectEvictionPolicy):
@@ -64,33 +73,31 @@ class ObjectRLRPolicy(ObjectEvictionPolicy):
         self.sample = sample
         self.name = "rlr_size" if size_weight else "rlr"
         self.rd = ReuseDistanceEstimator(log2_hits=log2_hits, initial_rd=0)
-        self._order = {}  # key -> None, LRU -> MRU
-        self._last_seen = {}  # key -> position of its previous access
+        self._order = {}  # key -> stamp of its last access, LRU -> MRU
+        self._static = {}  # key -> static_priority, in the same order
 
     def on_admit(self, obj, now):
-        self._order[obj.key] = None
-        self._last_seen[obj.key] = now
+        self._order[obj.key] = now
+        self._static[obj.key] = self.static_priority(obj)
 
     def on_hit(self, obj, now):
         # The cache updates obj.last_access before calling on_hit, so the
         # preuse distance (gap between consecutive accesses) comes from the
-        # policy's own last-seen table, exactly like the age counters RLR
-        # samples in hardware.
-        previous = self._last_seen.get(obj.key)
-        if previous is not None:
-            self.rd.record_demand_hit(now - previous)
-        self._last_seen[obj.key] = now
-        del self._order[obj.key]
-        self._order[obj.key] = None
+        # policy's own stamps, exactly like the age counters RLR samples in
+        # hardware.
+        self.rd.record_demand_hit(now - self._order.pop(obj.key))
+        self._order[obj.key] = now
+        del self._static[obj.key]
+        self._static[obj.key] = self.static_priority(obj)
 
     def on_evict(self, obj, now):
         self._order.pop(obj.key, None)
-        self._last_seen.pop(obj.key, None)
+        self._static.pop(obj.key, None)
 
-    def priority(self, obj, now: int) -> int:
+    def static_priority(self, obj) -> int:
+        """The scaled priority without ``P_age``: fixed between accesses,
+        because a resident's size and ``seen_before`` never change."""
         score = 0
-        if obj.age(now) <= self.rd.rd:
-            score += 8  # P_age: inside the reuse window — protect
         if obj.seen_before:
             score += 1  # P_type: re-admitted, not a one-hit wonder
         if obj.hits > 0:
@@ -99,21 +106,28 @@ class ObjectRLRPolicy(ObjectEvictionPolicy):
             obj.size
         )
 
+    def priority(self, obj, now: int) -> int:
+        young = obj.age(now) <= self.rd.rd  # P_age: inside the reuse window
+        return self.static_priority(obj) + (AGE_PRIORITY if young else 0)
+
     def victim(self, residents, incoming, now):
-        best_key = None
-        best_rank = None
-        for index, key in enumerate(self._order):
-            if index >= self.sample:
-                break
-            obj = residents[key]
-            # Lowest priority first; ties evict the *most recent* candidate
-            # (paper Fig. 7: RLR skews victims toward recent lines), which
-            # the scan order makes the highest index.
-            rank = (self.priority(obj, now), -obj.last_access, key)
-            if best_rank is None or rank < best_rank:
-                best_rank = rank
-                best_key = key
-        return best_key
+        stamps = list(islice(self._order.values(), self.sample))
+        scores = list(islice(self._static.values(), self.sample))
+        scores.reverse()  # MRU first, so index() finds the most recent
+        young = len(stamps) - bisect_left(stamps, now - self.rd.rd)
+        old_best = min(scores[young:], default=None)
+        young_best = min(scores[:young], default=None)
+        # Lowest priority first; ties evict the *most recent* candidate
+        # (paper Fig. 7: RLR skews victims toward recent lines).
+        if young_best is not None and (
+            old_best is None or young_best + AGE_PRIORITY <= old_best
+        ):
+            position = scores.index(young_best)
+        elif old_best is not None:
+            position = scores.index(old_best, young)
+        else:
+            return None  # empty cache
+        return next(islice(self._order, len(scores) - 1 - position, None))
 
 
 @register_object_policy(name="rlr")

@@ -12,10 +12,12 @@ phase                  meaning
 ``tag_lookup``         ``cache.access`` minus everything attributed below
                        (set indexing, tag dict lookup, stamp/stats upkeep)
 ``victim_scoring``     ``policy.victim`` minus feature extraction
-``feature_extraction`` separable per-candidate scoring (``priority`` on the
-                       object-cache policies; zero where scoring is inlined)
+``feature_extraction`` separable per-object scoring (``static_priority`` on
+                       object RLR, run from its hooks; zero where scoring is
+                       inlined)
 ``policy_update``      the ``on_hit``/``on_miss``/``on_evict``/``on_fill``
-                       (``on_admit`` for objcache) policy hooks
+                       (``on_admit`` for objcache) policy hooks minus
+                       feature extraction
 ``admission``          admission ``record`` + ``admit`` (objcache only)
 ``telemetry``          registered access/eviction/decision observers
 ``transport``          everything outside ``policy.victim`` on the serve
@@ -79,8 +81,9 @@ class PhaseProfile:
         self.raw = {
             "access": 0.0,
             "victim": 0.0,
-            "feature": 0.0,
+            "feature": 0.0,  # inside victim
             "hooks": 0.0,
+            "hook_feature": 0.0,  # inside hooks
             "observers": 0.0,
             "admission": 0.0,
         }
@@ -109,8 +112,10 @@ class PhaseProfile:
             phases["trace_decode"] = max(0.0, self.loop_seconds - raw["access"])
             phases["tag_lookup"] = max(0.0, raw["access"] - inside_access)
             phases["victim_scoring"] = max(0.0, raw["victim"] - raw["feature"])
-            phases["feature_extraction"] = raw["feature"]
-            phases["policy_update"] = raw["hooks"]
+            phases["feature_extraction"] = raw["feature"] + raw["hook_feature"]
+            phases["policy_update"] = max(
+                0.0, raw["hooks"] - raw["hook_feature"]
+            )
             phases["telemetry"] = raw["observers"]
             if self.engine == "objcache":
                 phases["admission"] = raw["admission"]
@@ -282,59 +287,62 @@ def make_profiled_cache(config, policy, profile, **kwargs):
 
 
 class _TimedObjectPolicy:
-    """Timing proxy for object policies; also taps separable ``priority``.
+    """Timing proxy for object policies; also taps ``static_priority``.
 
-    ``priority`` (the per-candidate scoring RLR/GDSF run inside ``victim``)
-    is patched *on the wrapped instance* so the policy's own internal calls
-    route through the timer — that is what makes ``feature_extraction``
-    separable from ``victim_scoring``.
+    ``static_priority`` (the per-object scoring object RLR runs from its
+    admit and hit hooks) is patched *on the wrapped instance* so the
+    policy's own internal calls route through the timer — that is what
+    makes ``feature_extraction`` separable.  Its time is charged to the
+    raw timer of the call it ran under (``hook_feature`` inside a hook,
+    ``feature`` inside ``victim``), so each exclusive phase subtracts
+    exactly the scoring that nested inside it.
     """
 
     def __init__(self, inner, profile: PhaseProfile) -> None:
         self._inner = inner
         self._profile = profile
-        original = getattr(inner, "priority", None)
+        self._feature_timer = "feature"
+        original = getattr(inner, "static_priority", None)
         if callable(original):
-            def timed_priority(obj, now):
+            def timed_static_priority(obj):
                 started = time.perf_counter()
-                score = original(obj, now)
-                profile.raw["feature"] += time.perf_counter() - started
+                score = original(obj)
+                profile.raw[self._feature_timer] += (
+                    time.perf_counter() - started
+                )
                 profile.count("feature_extraction")
                 return score
 
-            inner.priority = timed_priority
+            inner.static_priority = timed_static_priority
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
     def victim(self, residents, incoming, now):
         profile = self._profile
+        self._feature_timer = "feature"
         started = time.perf_counter()
         key = self._inner.victim(residents, incoming, now)
         profile.raw["victim"] += time.perf_counter() - started
         profile.count("victim_scoring")
         return key
 
-    def on_admit(self, obj, now):
+    def _hook(self, hook, obj, now):
         profile = self._profile
+        self._feature_timer = "hook_feature"
         started = time.perf_counter()
-        self._inner.on_admit(obj, now)
+        hook(obj, now)
         profile.raw["hooks"] += time.perf_counter() - started
         profile.count("policy_update")
+
+    def on_admit(self, obj, now):
+        self._hook(self._inner.on_admit, obj, now)
 
     def on_hit(self, obj, now):
-        profile = self._profile
-        started = time.perf_counter()
-        self._inner.on_hit(obj, now)
-        profile.raw["hooks"] += time.perf_counter() - started
-        profile.count("policy_update")
+        self._hook(self._inner.on_hit, obj, now)
 
     def on_evict(self, obj, now):
-        profile = self._profile
-        started = time.perf_counter()
-        self._inner.on_evict(obj, now)
-        profile.raw["hooks"] += time.perf_counter() - started
-        profile.count("policy_update")
+        self._hook(self._inner.on_evict, obj, now)
 
 
 class _TimedAdmission:

@@ -1,5 +1,7 @@
 """Admission hooks: the gate in front of the object cache."""
 
+import random
+
 import pytest
 
 from repro.objcache import (
@@ -43,7 +45,54 @@ class TestSizeThreshold:
         assert len(cache) == 0
 
 
+class _PerCallSlotsGate(FrequencyGateAdmission):
+    """The gate as it was before slots were computed once per request:
+    every ``record`` and ``estimate`` re-hashes the key row by row."""
+
+    def _slots(self, key):
+        for row in range(self.depth):
+            mixed = (key * self._MULTIPLIERS[row]) & self._MASK
+            mixed ^= mixed >> 29
+            yield row, mixed % self.width
+
+    def estimate(self, key):
+        return min(self._rows[row][slot] for row, slot in self._slots(key))
+
+    def record(self, request, now):
+        for row, slot in self._slots(request.key):
+            if self._rows[row][slot] < self._COUNTER_MAX:
+                self._rows[row][slot] += 1
+        self._since_reset += 1
+        if self._since_reset >= self.reset_interval:
+            for row in self._rows:
+                for slot in range(self.width):
+                    row[slot] >>= 1
+            self._since_reset = 0
+
+
 class TestFrequencyGate:
+    @pytest.mark.parametrize("depth", (1, 4))
+    def test_same_counters_and_verdicts_as_per_call_hashing(self, depth):
+        # 3000 requests against a reset every 97 cross the halving 30
+        # times; admit() also runs for keys that were not just recorded,
+        # and keys reach past 2**64 so the hash mask matters.
+        rng = random.Random(11)
+        keys = [rng.randrange(1 << 70) for _ in range(60)]
+        gates = [cls(width=37, depth=depth, threshold=3, reset_interval=97)
+                 for cls in (_PerCallSlotsGate, FrequencyGateAdmission)]
+        for now in range(3000):
+            request = ObjectRequest(key=rng.choice(keys), size=1)
+            probe = ObjectRequest(key=rng.choice(keys), size=1)
+            verdicts = []
+            for gate in gates:
+                gate.record(request, now)
+                verdicts.append((gate.admit(request, now),
+                                 gate.admit(probe, now),
+                                 gate.admit(request, now)))
+            assert verdicts[0] == verdicts[1], now
+            assert gates[0]._rows == gates[1]._rows, now
+        assert any(any(row) for row in gates[1]._rows)
+
     def test_admits_on_the_second_sighting(self):
         # The cache taps record() before resolving the miss, so the first
         # request of a key reaches the gate with an estimate of 1.

@@ -68,6 +68,18 @@ class TestPhaseProfile:
         assert sum(phases.values()) == pytest.approx(1.5)
         assert profile.reconciliation()["relative_error"] == 0.0
 
+    def test_scoring_inside_hooks_leaves_policy_update(self):
+        profile = PhaseProfile("objcache")
+        profile.accesses = 10
+        profile.raw.update(access=1.0, victim=0.4, feature=0.1, hooks=0.2,
+                           hook_feature=0.05, observers=0.0, admission=0.1)
+        profile.finish(1.5)
+        phases = profile.phases
+        assert phases["victim_scoring"] == pytest.approx(0.3)
+        assert phases["policy_update"] == pytest.approx(0.15)
+        assert phases["feature_extraction"] == pytest.approx(0.15)
+        assert sum(phases.values()) == pytest.approx(1.5)
+
     def test_serve_engine_attributes_remainder_to_transport(self):
         profile = PhaseProfile("serve")
         profile.accesses = 100
@@ -194,6 +206,18 @@ class TestObjectCacheParity:
         assert profile.phases["feature_extraction"] > 0.0
         # Exclusive split: victim minus its inner feature work.
         assert profile.phases["victim_scoring"] >= 0.0
+
+    def test_rlr_scores_once_per_admit_or_hit(self, object_trace):
+        profile = PhaseProfile("objcache")
+        cache = make_profiled_object_cache(
+            500_000, make_object_policy("rlr"), profile
+        )
+        stats = cache.replay(object_trace.requests)
+        assert profile.calls["feature_extraction"] == (
+            stats.admitted + stats.hits
+        )
+        assert profile.phases["victim_scoring"] > 0.0
+        assert profile.reconciliation()["relative_error"] <= 0.01
 
 
 CELLS = (
