@@ -31,7 +31,10 @@ from repro.objcache import (  # noqa: E402
     generate_object_trace,
     make_admission,
 )
-from repro.objcache.rlr import DEFAULT_SIZE_WEIGHT, ObjectRLRPolicy  # noqa: E402
+from repro.objcache.rlr import (  # noqa: E402
+    DEFAULT_SIZE_WEIGHT,
+    ObjectRLRPolicy,
+)
 from repro.sanitize.object_guard import CheckedObjectPolicy  # noqa: E402
 
 from tests.reference_object_rlr import RefObjectRLRPolicy  # noqa: E402
@@ -154,9 +157,9 @@ class TestAgainstFrozenScan:
     )
     def test_same_victim_for_any_window(self, residents, rd_percent,
                                         size_weight, sample):
-        """One decision over drawn residents and a drawn RD, so candidates
-        tie within and across the reuse-window boundary far more often
-        than a replay makes them."""
+        """One decision over drawn residents, every size bucket and a
+        drawn RD, so the reuse-window boundary falls anywhere in the
+        window, including before the first and after the last candidate."""
         objects, now = {}, 0
         policies = [policy_class(size_weight=size_weight, sample=sample)
                     for policy_class in (RefObjectRLRPolicy, ObjectRLRPolicy)]
