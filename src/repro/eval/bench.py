@@ -242,9 +242,10 @@ def bench_serve(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
 
     Latency percentiles are count-based nearest-rank over the best repeat's
     per-request wall times (deterministic given the measurements); the
-    phase split times ``policy.victim`` on the server side, with the
-    remainder attributed to ``transport`` (framing, socket, micro-batch
-    queueing, simulated deadline cost).
+    phase split times ``policy.victim`` on the server side and the
+    client's request packing (``encode``) and reply parsing (``decode``),
+    with the remainder attributed to ``transport`` (socket, server-side
+    framing and decoding, micro-batch queueing).
     """
     from repro.cache.cache_set import CacheSet
     from repro.cache.config import CacheConfig
@@ -285,17 +286,31 @@ def bench_serve(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
                     return way
 
                 shard.policy.victim = timed_victim
+                decode_box = [0.0]
+                original_decode = client._decode
+
+                def timed_decode(payload, original=original_decode,
+                                 box=decode_box):
+                    started = time.perf_counter()
+                    reply = original(payload)
+                    box[0] += time.perf_counter() - started
+                    return reply
+
+                client._decode = timed_decode
                 best_rate, best = 0.0, None
                 for repeat in range(max(1, repeats)):
                     victim_box[0], victim_box[1] = 0.0, 0
+                    decode_box[0] = encode_seconds = 0.0
                     latencies = []
                     started = time.perf_counter()
                     for index in range(requests):
+                        packing = time.perf_counter()
                         frame = victim_request(
                             tenant, f"{policy}-{repeat}-{index}", 0,
                             cache_set, record,
                         )
                         sent = time.perf_counter()
+                        encode_seconds += sent - packing
                         reply = client.request(frame)
                         latencies.append(time.perf_counter() - sent)
                         if reply is None or not reply.get("ok"):
@@ -308,9 +323,11 @@ def bench_serve(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
                     if rate >= best_rate:
                         best_rate = rate
                         best = (sorted(latencies), elapsed,
-                                victim_box[0], victim_box[1])
+                                victim_box[0], victim_box[1],
+                                encode_seconds, decode_box[0])
                 rates[policy] = round(best_rate, 1)
-                latencies, elapsed, victim_seconds, victim_calls = best
+                (latencies, elapsed, victim_seconds, victim_calls,
+                 encode_seconds, decode_seconds) = best
                 latency_us[policy] = {
                     f"p{pct}": round(
                         _nearest_rank(latencies, pct) * 1e6, 1
@@ -320,7 +337,11 @@ def bench_serve(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
                 profile = PhaseProfile("serve")
                 profile.accesses = requests
                 profile.raw["victim"] = victim_seconds
+                profile.raw["encode"] = encode_seconds
+                profile.raw["decode"] = decode_seconds
                 profile.count("victim_scoring", victim_calls)
+                profile.count("encode", requests)
+                profile.count("decode", requests)
                 profile.finish(elapsed)
                 phases[policy] = profile.as_dict()
             finally:

@@ -279,6 +279,12 @@ def _phase_deltas(bench: str, key: str, baseline_phases: dict,
     return deltas
 
 
+def _new_phases(key: str, baseline_phases: dict, current_phases: dict):
+    base = (baseline_phases or {}).get(key, {}).get("phases", {})
+    curr = (current_phases or {}).get(key, {}).get("phases", {})
+    return sorted(set(curr) - set(base))
+
+
 def compare(current: dict, baseline: dict,
             tolerance: float = None) -> CompareReport:
     """Gate ``current`` bench payloads against ``baseline`` ones.
@@ -322,6 +328,13 @@ def compare(current: dict, baseline: dict,
                     bench, key, base_payload.get("phases"),
                     payload.get("phases"),
                 ))
+                new_phases = _new_phases(key, base_payload.get("phases"),
+                                         payload.get("phases"))
+                if new_phases:
+                    report.notes.append(
+                        f"{bench}/{key}: phase(s) {', '.join(new_phases)} "
+                        f"not in the baseline (new, not compared)"
+                    )
         # Overhead checks: absolute budgets, regression on any ok=false.
         for key in sorted(payload.get("checks", {})):
             check = payload["checks"][key]

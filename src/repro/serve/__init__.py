@@ -2,7 +2,7 @@
 
 The bridge from "replay a trace" to "serve heavy traffic": a long-running
 asyncio server (:mod:`repro.serve.server`) answers ``victim`` decisions
-over a newline-delimited-JSON socket protocol
+over a length+CRC framed socket protocol
 (:mod:`repro.serve.protocol`) for many concurrent simulated cache
 instances, under a per-request deadline budget with an always-available
 LRU fallback, a per-tenant degradation state machine

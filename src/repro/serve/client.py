@@ -3,7 +3,8 @@
 Two layers:
 
 :class:`PolicyClient`
-    A small blocking-socket NDJSON client with the full reliability kit:
+    A small blocking-socket framed-protocol client with the full
+    reliability kit:
     per-attempt timeouts, bounded retries with **jittered exponential
     backoff** (seeded RNG + injectable sleep, so tests assert the exact
     schedule), **idempotent request ids** (a retransmitted victim request
@@ -49,7 +50,9 @@ from repro.serve.protocol import (
     decode_frame,
     encode_frame,
     hook_request,
-    line_to_wire,
+    pack_line,
+    pack_lines,
+    read_frame,
     victim_request,
 )
 from repro.telemetry import get_registry
@@ -105,7 +108,8 @@ def backoff_delays(retries: int, base: float, cap: float, rng) -> list:
 
 
 class PolicyClient:
-    """Blocking NDJSON client for one tenant connection."""
+    """Blocking framed-protocol client for one tenant connection.  A
+    request is a dict; a packed op carries its encoded ``payload``."""
 
     def __init__(self, host: str, port: int, timeout: float = 2.0,
                  retries: int = 2, backoff_base: float = 0.01,
@@ -161,10 +165,7 @@ class PolicyClient:
         """One send + one reply on the live connection (no retries here)."""
         self._file.write(encode_frame(frame))
         self._file.flush()
-        line = self._file.readline()
-        if not line or not line.endswith(b"\n"):
-            raise FrameError("connection closed mid-reply (truncated frame)")
-        reply = decode_frame(line)
+        reply = self._decode(read_frame(self._file.read))
         want = frame.get("id")
         if want is not None and reply.get("id") not in (None, want):
             raise FrameError(
@@ -172,6 +173,10 @@ class PolicyClient:
                 f"{want!r}"
             )
         return reply
+
+    def _decode(self, payload: bytes) -> dict:
+        """A reply payload as a dict (its own step: the bench times it)."""
+        return decode_frame(payload)
 
     # -- request path --------------------------------------------------------
 
@@ -275,8 +280,8 @@ class ServerBackedPolicy(ReplacementPolicy):
         self.uses_pc = bool(getattr(factory, "uses_pc", False))
         self._client = None
         self._seq = 0
-        #: Wire lines of the last victim request: its ``on_evict`` follows
-        #: at once and reports the victim exactly as that snapshot did.
+        #: Packed line records of the last victim request: its ``on_evict``
+        #: follows at once and reports the victim as that snapshot did.
         self._victim_lines = None
         self.local_fallbacks = 0  #: decisions served by the local LRU path
         self.server_fallbacks = 0  #: server replies flagged source=fallback
@@ -315,44 +320,54 @@ class ServerBackedPolicy(ReplacementPolicy):
             ))
             self.uses_pc = bool(reply.get("uses_pc", self.uses_pc))
 
-    def _fresh_line(self, line) -> dict:
-        """A line just hit or filled: the set's MRU, aged 0 since access."""
-        return line_to_wire(line, self.ways - 1, line.stamp)
+    def _send_hook(self, kind, set_index, access, way=None, record=None,
+                   line=None, rank=0) -> None:
+        """One hook frame.  Its line goes as ``record`` (already packed) or
+        as ``line`` at ``rank``, aged 0 since its own last access."""
+        client = self._ensure_client()
+        try:
+            if line is not None:
+                record = pack_line(line, rank, line.stamp)
+            frame = hook_request(self._tenant, kind, set_index, access, way,
+                                 record)
+        except FrameError:
+            # A field the wire cannot carry: the event is lost, as on a
+            # dead connection, and counted the same way.
+            client.dropped_hooks += 1
+            return
+        client.send(frame)
 
     def on_hit(self, set_index, way, line, access) -> None:
-        self._ensure_client().send(hook_request(
-            self._tenant, "on_hit", set_index, access, way=way,
-            line=self._fresh_line(line),
-        ))
+        # A line just hit or filled is the set's MRU.
+        self._send_hook("on_hit", set_index, access, way, line=line,
+                        rank=self.ways - 1)
 
     def on_miss(self, set_index, access) -> None:
-        self._ensure_client().send(hook_request(
-            self._tenant, "on_miss", set_index, access
-        ))
+        self._send_hook("on_miss", set_index, access)
 
     def on_evict(self, set_index, way, line, access) -> None:
         # Without a victim request before it there is no snapshot to rank
         # the line in; report it as of its own last access.
         lines = self._victim_lines
-        self._ensure_client().send(hook_request(
-            self._tenant, "on_evict", set_index, access, way=way,
-            line=lines[way] if lines else line_to_wire(line, 0, line.stamp),
-        ))
+        if lines:
+            self._send_hook("on_evict", set_index, access, way, lines[way])
+        else:
+            self._send_hook("on_evict", set_index, access, way, line=line)
 
     def on_fill(self, set_index, way, line, access) -> None:
-        self._ensure_client().send(hook_request(
-            self._tenant, "on_fill", set_index, access, way=way,
-            line=self._fresh_line(line),
-        ))
+        self._send_hook("on_fill", set_index, access, way, line=line,
+                        rank=self.ways - 1)
 
     def victim(self, set_index, cache_set, access) -> int:
         self._seq += 1
         request_id = f"{self._tenant}-{self._seq}"
-        frame = victim_request(
-            self._tenant, request_id, set_index, cache_set, access
-        )
-        self._victim_lines = frame["set_state"]["lines"]
-        reply = self._ensure_client().request(frame)
+        try:
+            self._victim_lines = pack_lines(cache_set)
+            frame = victim_request(self._tenant, request_id, set_index,
+                                   cache_set, access, self._victim_lines)
+        except FrameError:
+            frame = self._victim_lines = None  # the wire cannot carry it
+        reply = self._ensure_client().request(frame) if frame else None
         way = self._validate(reply, cache_set)
         if way is None:
             # Local LRU fallback: the sidecar contract — the cache never

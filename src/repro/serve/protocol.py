@@ -1,217 +1,299 @@
-"""Wire protocol for the eviction-as-a-service server.
+"""Wire protocol for the eviction-as-a-service server (version 2).
 
-Frames are newline-delimited JSON (NDJSON): one compact JSON object per
-``\\n``-terminated line, UTF-8, at most :data:`MAX_FRAME_BYTES` long.  The
-format is deliberately boring — any language with a JSON library and a TCP
-socket can be a tenant — and self-delimiting, so a torn or truncated frame
-is detected at the line level and surfaces as a typed :class:`FrameError`
-instead of a hung read.
+Every frame is one ``RAF1`` frame, the framing :mod:`repro.store.frames`
+writes to disk: ``u32 LE length + u32 LE crc32(payload) + payload``.  The
+length word is checked against :data:`MAX_FRAME_BYTES` before the payload
+is read and the payload against its CRC, so an oversized, torn or
+bit-flipped frame is a typed :class:`FrameError`, not a hung read or a
+wrong decision.  The first payload byte names the kind:
 
-Requests carry an ``op``:
+* ``{`` — a JSON object: the control requests (``bind``, ``ping``,
+  ``stats``, ``snapshot``, ``shutdown``) and every reply.
+* ``V`` — a victim request: tenant, idempotent request id, a full set
+  snapshot and the triggering access.  Always answered, by the policy or
+  by the per-shard LRU fallback, with ``source``/``reason`` saying which;
+  a retransmitted id gets the recorded reply.
+* ``H`` — a one-way lifecycle hook (``on_hit`` / ``on_miss`` /
+  ``on_evict`` / ``on_fill``), kept in order by the connection.
 
-``bind``
-    Register a tenant: policy name + constructor params + cache geometry.
-    Replies with the policy's ``needs_line_metadata`` / ``uses_pc`` flags
-    so the client-side adapter can mirror them *before* the replay loop
-    reads them.
-``hook``
-    One-way policy lifecycle event (``on_hit`` / ``on_miss`` /
-    ``on_evict`` / ``on_fill``).  No reply; ordering is guaranteed by the
-    connection (frames are processed in arrival order).
-``victim``
-    The decision request: a full snapshot of the cache set plus the
-    triggering access.  Always answered — by the tenant's policy when it
-    is healthy and within its deadline budget, by the per-shard LRU
-    fallback otherwise — with ``source``/``reason`` saying which path ran.
-    Carries a client-chosen idempotent ``id``: retransmits of an already
-    answered id return the recorded reply instead of re-deciding.
-``ping`` / ``stats`` / ``snapshot`` / ``shutdown``
-    Liveness probe, health introspection, forced state snapshot, and a
-    drain request (same path as SIGTERM).
-
-The codecs below round-trip the simulator's value types
-(:class:`~repro.traces.record.TraceRecord`,
-:class:`~repro.cache.block.CacheLine`,
-:class:`~repro.cache.cache_set.CacheSet`) exactly: the server rebuilds a
-*real* ``CacheSet`` from the wire form, so server-side policies see the
-same object surface (``lru_way``, ``valid_ways``, ``lines[way].stamp``,
-``ranks()``, ...) as in-process ones — that equivalence is what makes
-no-fault server-backed reports byte-identical to in-process reports.
+``V`` and ``H`` are fixed little-endian :mod:`struct` layouts, tabled
+field by field in docs/serving.md.  Lines carry their recency rank and
+two ages, never the client's stamps; the server turns the ages back into
+stamps and rebuilds a *real* :class:`~repro.cache.cache_set.CacheSet`, so
+server-side policies see the in-process object surface.  That is what
+makes no-fault server-backed reports byte-identical to in-process ones.
+A field that does not fit its layout raises :class:`FrameError` at
+encode.
 """
 
 from __future__ import annotations
 
 import json
+import struct
+import zlib
 
 from repro.cache.block import CacheLine
 from repro.cache.cache_set import CacheSet
 from repro.cache.config import CacheConfig
+from repro.store import frames
+from repro.store.frames import FRAME_PREFIX
 from repro.traces.record import AccessType, TraceRecord
 
-#: Upper bound on one frame; larger frames are a protocol violation.  A
-#: 16-way set snapshot is ~2 KiB, so this leaves two orders of headroom.
+#: Upper bound on one frame's payload; a larger length word is refused
+#: before anything is read.  A 16-way set snapshot is ~1.3 KiB.
 MAX_FRAME_BYTES = 256 * 1024
 
-#: Protocol version, echoed in bind replies; bumped on incompatible change.
-PROTOCOL_VERSION = 1
+#: Protocol version, echoed in bind and ping replies.  Version 2 replaced
+#: the newline-delimited JSON of version 1 with the framing above.
+PROTOCOL_VERSION = 2
+
+#: u16 length prefix of a text field.
+TEXT_LEN = struct.Struct("<H")
+#: The access: address, pc, access type, instr_delta, core.
+ACCESS = struct.Struct("<QQBIH")
+#: The set header: index, ways, accesses, accesses since miss, misses.
+SET_HEADER = struct.Struct("<IHQQQ")
+#: A hook: kind (index into HOOK_KINDS), set index, way (0 for on_miss).
+HOOK = struct.Struct("<BIH")
+#: An invalid way: flags (0) and rank.
+EMPTY_LINE = struct.Struct("<BH")
+#: A valid way: flags, rank, tag, line address, offset, core, insertion
+#: pc, last pc, last access type, insertion type, preuse, age since
+#: insertion, age since last access, hits since insertion and the four
+#: per-type access counts.
+LINE = struct.Struct("<BHQQBHQQBBIIIIIIII")
+
+LINE_VALID = 1
+LINE_DIRTY = 2
+
+HOOK_KINDS = ("on_hit", "on_miss", "on_evict", "on_fill")
+_HOOK_CODES = {kind: code for code, kind in enumerate(HOOK_KINDS)}
+_ACCESS_TYPES = tuple(AccessType)
+#: ``json.dumps`` builds a new encoder per call for non-default separators.
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class FrameError(ValueError):
     """A malformed, truncated, oversized, or type-invalid frame."""
 
 
-def encode_frame(payload: dict) -> bytes:
-    """Serialize one frame: compact JSON + newline."""
-    data = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    if len(data) + 1 > MAX_FRAME_BYTES:
+# -- framing -------------------------------------------------------------------
+
+
+def encode_frame(frame: dict) -> bytes:
+    """One wire frame: a packed request's ``payload`` as is, any other
+    request or reply as compact JSON."""
+    payload = frame.get("payload")
+    if payload is None:
+        payload = _compact_json(frame).encode("utf-8")
+    if len(payload) > MAX_FRAME_BYTES:
         raise FrameError(
-            f"frame of {len(data)} bytes exceeds MAX_FRAME_BYTES "
+            f"frame of {len(payload)} bytes exceeds MAX_FRAME_BYTES "
             f"({MAX_FRAME_BYTES})"
         )
-    return data + b"\n"
+    return frames.encode_frame(payload)
 
 
-def decode_frame(line: bytes) -> dict:
-    """Parse one received line into a frame dict (typed errors only)."""
-    if len(line) > MAX_FRAME_BYTES:
-        raise FrameError(f"frame of {len(line)} bytes exceeds limit")
-    if not line.endswith(b"\n"):
-        raise FrameError("truncated frame (no trailing newline)")
-    try:
-        payload = json.loads(line)
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise FrameError(f"malformed frame: {error}") from error
-    if not isinstance(payload, dict):
+def frame_header(prefix: bytes) -> tuple:
+    """``(length, crc)`` of a frame prefix; refuses oversized lengths."""
+    length, crc = FRAME_PREFIX.unpack(prefix)
+    if length > MAX_FRAME_BYTES:
         raise FrameError(
-            f"frame must be a JSON object, got {type(payload).__name__}"
+            f"frame too large: {length} bytes declared, limit "
+            f"{MAX_FRAME_BYTES}"
         )
+    return length, crc
+
+
+def check_payload(payload: bytes, crc: int) -> bytes:
+    if zlib.crc32(payload) != crc:
+        raise FrameError(f"checksum mismatch over {len(payload)} byte(s)")
     return payload
 
 
-# -- value codecs --------------------------------------------------------------
+def read_frame(read) -> bytes:
+    """One frame's payload from a blocking ``read(n)`` (typed errors only)."""
+    prefix = read(FRAME_PREFIX.size)
+    if len(prefix) < FRAME_PREFIX.size:
+        raise FrameError("connection closed mid-frame (truncated prefix)")
+    length, crc = frame_header(prefix)
+    payload = read(length)
+    if len(payload) < length:
+        raise FrameError("connection closed mid-frame (truncated payload)")
+    return check_payload(payload, crc)
 
 
-def access_to_wire(access) -> dict:
-    """A :class:`TraceRecord` as a compact wire dict."""
-    return {
-        "a": access.address,
-        "pc": access.pc,
-        "t": int(access.access_type),
-        "d": access.instr_delta,
-        "c": access.core,
-    }
-
-
-def access_from_wire(data: dict) -> TraceRecord:
+def decode_frame(payload: bytes) -> dict:
+    """Parse a JSON payload into a frame dict (typed errors only)."""
     try:
-        return TraceRecord(
-            address=int(data["a"]),
-            pc=int(data.get("pc", 0)),
-            access_type=AccessType(int(data.get("t", 0))),
-            instr_delta=int(data.get("d", 1)),
-            core=int(data.get("c", 0)),
+        frame = json.loads(payload)
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise FrameError(f"malformed frame: {error}") from error
+    if not isinstance(frame, dict):
+        raise FrameError(
+            f"frame must be a JSON object, got {type(frame).__name__}"
         )
-    except (KeyError, TypeError, ValueError) as error:
-        raise FrameError(f"invalid access payload {data!r}: {error}") from error
+    return frame
 
 
-def line_to_wire(line: CacheLine, rank: int, now: int) -> dict:
-    """Every Table II field of one cache line (invalid lines stay small).
-
-    ``rank`` is the line's recency position and ``now`` its set's access
-    count: the wire carries ages and ranks, never the set-local stamps.
-    """
-    if not line.valid:
-        return {"v": 0, "r": rank}
-    return {
-        "v": 1,
-        "tag": line.tag,
-        "la": line.line_address,
-        "dr": int(line.dirty),
-        "off": line.offset,
-        "core": line.core,
-        "ipc": line.insertion_pc,
-        "lpc": line.last_pc,
-        "lat": int(line.last_access_type),
-        "int": int(line.insertion_type),
-        "pre": line.preuse,
-        "ai": now - line.fill_at,
-        "al": now - line.stamp,
-        "h": line.hits_since_insertion,
-        "ac": list(line.access_counts),
-        "r": rank,
-    }
+# -- packed codecs -------------------------------------------------------------
 
 
-def line_from_wire(data: dict, now: int = 0) -> CacheLine:
-    """Rebuild a line whose set has made ``now`` accesses: the ages become
-    stamps again, which also restores its recency order."""
+def _text(value: str) -> bytes:
+    data = value.encode("utf-8")
+    return TEXT_LEN.pack(len(data)) + data
+
+
+def _read_text(payload: bytes, offset: int) -> tuple:
+    # A short text leaves too few bytes for the fixed layout after it.
+    (length,) = TEXT_LEN.unpack_from(payload, offset)
+    offset += TEXT_LEN.size
+    return payload[offset:offset + length].decode("utf-8"), offset + length
+
+
+def _unfit(what: str, error: Exception) -> FrameError:
+    return FrameError(f"{what} does not fit the wire layout: {error}")
+
+
+def pack_line(line: CacheLine, rank: int, now: int) -> bytes:
+    """One line record.  ``rank`` is the line's recency position and
+    ``now`` its set's access count: the record carries ages, not stamps."""
     try:
-        line = CacheLine()
-        if not data.get("v"):
-            return line
-        line.valid = True
-        line.tag = int(data["tag"])
-        line.line_address = int(data["la"])
-        line.dirty = bool(data.get("dr", 0))
-        line.offset = int(data.get("off", 0))
-        line.core = int(data.get("core", 0))
-        line.insertion_pc = int(data.get("ipc", 0))
-        line.last_pc = int(data.get("lpc", 0))
-        line.last_access_type = AccessType(int(data.get("lat", 0)))
-        line.insertion_type = AccessType(int(data.get("int", 0)))
-        line.preuse = int(data.get("pre", 0))
-        line.fill_at = now - int(data.get("ai", 0))
-        line.stamp = now - int(data.get("al", 0))
-        line.hits_since_insertion = int(data.get("h", 0))
-        line.access_counts = [int(count) for count in data.get("ac", [0] * 4)]
-        return line
-    except (KeyError, TypeError, ValueError) as error:
-        raise FrameError(f"invalid line payload: {error}") from error
+        if not line.valid:
+            return EMPTY_LINE.pack(0, rank)
+        return LINE.pack(
+            (LINE_VALID | LINE_DIRTY) if line.dirty else LINE_VALID, rank,
+            line.tag, line.line_address, line.offset, line.core,
+            line.insertion_pc, line.last_pc, line.last_access_type,
+            line.insertion_type, line.preuse, now - line.fill_at,
+            now - line.stamp, line.hits_since_insertion, *line.access_counts,
+        )
+    except struct.error as error:
+        raise _unfit("cache line", error) from error
 
 
-def set_to_wire(cache_set) -> dict:
-    """A full cache-set snapshot: lines plus the Table II set counters."""
+def pack_lines(cache_set) -> list:
+    """Every line record of a set, in way order."""
     now = cache_set.accesses
-    return {
-        "i": cache_set.index,
-        "w": cache_set.ways,
-        "acc": now,
-        "asm": cache_set.accesses_since_miss,
-        "m": cache_set.misses,
-        "lines": [
-            line_to_wire(line, rank, now)
-            for line, rank in zip(cache_set.lines, cache_set.ranks())
-        ],
-    }
+    return [pack_line(line, rank, now)
+            for line, rank in zip(cache_set.lines, cache_set.ranks())]
 
 
-def set_from_wire(data: dict) -> CacheSet:
-    """Rebuild a *real* :class:`CacheSet` from its wire snapshot.
+def _unpack_lines(payload: bytes, offset: int, ways: int, now: int) -> list:
+    """Rebuild ``ways`` line records, the rest of ``payload``, for a set
+    that has made ``now`` accesses."""
+    lines = []
+    types = _ACCESS_TYPES
+    for _ in range(ways):
+        if not payload[offset] & LINE_VALID:
+            lines.append(CacheLine())
+            offset += EMPTY_LINE.size
+            continue
+        (flags, _rank, tag, line_address, line_offset, core, insertion_pc,
+         last_pc, last_type, insertion_type, preuse, age_insert, age_access,
+         hits, *counts) = LINE.unpack_from(payload, offset)
+        lines.append(CacheLine(
+            True, tag, line_address, bool(flags & LINE_DIRTY), line_offset,
+            core, insertion_pc, last_pc, types[last_type],
+            types[insertion_type], preuse, hits, counts, now - age_access,
+            now - age_insert,
+        ))
+        offset += LINE.size
+    if offset != len(payload):
+        raise FrameError(f"{len(payload) - offset} trailing byte(s) in frame")
+    return lines
 
-    Using the genuine class (not a shim) guarantees ``lru_way()`` /
-    ``valid_ways()`` / ``find()`` semantics are identical on both ends.
-    """
+
+def _pack_access(access) -> bytes:
+    return ACCESS.pack(access.address, access.pc, access.access_type,
+                       access.instr_delta, access.core)
+
+
+def _unpack_access(payload: bytes, offset: int) -> TraceRecord:
+    address, pc, access_type, instr_delta, core = ACCESS.unpack_from(
+        payload, offset
+    )
+    return TraceRecord(address, pc, _ACCESS_TYPES[access_type], instr_delta,
+                       core)
+
+
+def victim_request(tenant: str, request_id: str, set_index: int, cache_set,
+                   access, lines: list = None) -> dict:
+    """A victim request: ``op`` and ``id`` for the client, the packed
+    ``V`` payload for the wire.  ``lines`` are the set's
+    :func:`pack_lines` records when the caller already has them."""
+    if lines is None:
+        lines = pack_lines(cache_set)
     try:
-        ways = int(data["w"])
-        lines = data["lines"]
-        if not isinstance(lines, list) or len(lines) != ways:
-            raise FrameError(
-                f"set snapshot carries {len(lines) if isinstance(lines, list) else '?'}"
-                f" lines for {ways} ways"
-            )
-        now = int(data.get("acc", 0))
-        cache_set = CacheSet(
-            int(data["i"]), ways, [line_from_wire(line, now) for line in lines]
+        head = [
+            b"V", _text(tenant), _text(request_id),
+            SET_HEADER.pack(set_index, cache_set.ways, cache_set.accesses,
+                            cache_set.accesses_since_miss, cache_set.misses),
+            _pack_access(access),
+        ]
+    except struct.error as error:
+        raise _unfit("victim request", error) from error
+    return {"op": "victim", "id": request_id,
+            "payload": b"".join(head + lines)}
+
+
+def decode_victim(payload: bytes) -> tuple:
+    """``(tenant, request_id, set_index, cache_set, access)`` of a ``V``
+    payload; the set is a real :class:`CacheSet`."""
+    try:
+        tenant, offset = _read_text(payload, 1)
+        request_id, offset = _read_text(payload, offset)
+        index, ways, now, since_miss, misses = SET_HEADER.unpack_from(
+            payload, offset
         )
-        cache_set.accesses = now
-        cache_set.accesses_since_miss = int(data.get("asm", 0))
-        cache_set.misses = int(data.get("m", 0))
-        return cache_set
-    except FrameError:
-        raise
-    except (KeyError, TypeError, ValueError) as error:
-        raise FrameError(f"invalid set payload: {error}") from error
+        offset += SET_HEADER.size
+        access = _unpack_access(payload, offset)
+        cache_set = CacheSet(index, ways, _unpack_lines(
+            payload, offset + ACCESS.size, ways, now
+        ))
+    except (struct.error, IndexError, UnicodeDecodeError) as error:
+        raise FrameError(f"invalid victim request: {error}") from error
+    cache_set.accesses = now
+    cache_set.accesses_since_miss = since_miss
+    cache_set.misses = misses
+    return tenant, request_id, index, cache_set, access
+
+
+def hook_request(tenant: str, kind: str, set_index: int, access,
+                 way: int = None, line: bytes = None) -> dict:
+    """A lifecycle event; ``line`` is already a :func:`pack_line` record."""
+    try:
+        head = b"".join([
+            b"H", _text(tenant),
+            HOOK.pack(_HOOK_CODES[kind], set_index, way or 0),
+            _pack_access(access),
+        ])
+    except struct.error as error:
+        raise _unfit("hook", error) from error
+    return {"op": "hook", "payload": head + line if line else head}
+
+
+def decode_hook(payload: bytes) -> tuple:
+    """``(tenant, kind, set_index, way, line, access)`` of an ``H``
+    payload; ``way`` and ``line`` are ``None`` for ``on_miss``."""
+    try:
+        tenant, offset = _read_text(payload, 1)
+        code, set_index, way = HOOK.unpack_from(payload, offset)
+        kind = HOOK_KINDS[code]
+        offset += HOOK.size
+        access = _unpack_access(payload, offset)
+        offset += ACCESS.size
+        if kind == "on_miss":
+            if offset != len(payload):
+                raise FrameError("an on_miss hook carries no line")
+            return tenant, kind, set_index, None, None, access
+        (line,) = _unpack_lines(payload, offset, 1, 0)  # ages count from 0
+    except (struct.error, IndexError, UnicodeDecodeError) as error:
+        raise FrameError(f"invalid hook: {error}") from error
+    return tenant, kind, set_index, way, line, access
+
+
+# -- control ops ---------------------------------------------------------------
 
 
 def config_to_wire(config: CacheConfig) -> dict:
@@ -237,9 +319,6 @@ def config_from_wire(data: dict) -> CacheConfig:
         raise FrameError(f"invalid config payload {data!r}: {error}") from error
 
 
-# -- request builders (shared by client and tests) -----------------------------
-
-
 def bind_request(tenant: str, policy: str, config: CacheConfig,
                  params: dict = None, allow_bypass: bool = False) -> dict:
     return {
@@ -250,36 +329,6 @@ def bind_request(tenant: str, policy: str, config: CacheConfig,
         "config": config_to_wire(config),
         "allow_bypass": bool(allow_bypass),
         "protocol": PROTOCOL_VERSION,
-    }
-
-
-def hook_request(tenant: str, kind: str, set_index: int, access,
-                 way: int = None, line: dict = None) -> dict:
-    """A lifecycle event; ``line`` is already in wire form
-    (:func:`line_to_wire`)."""
-    frame = {
-        "op": "hook",
-        "tenant": tenant,
-        "kind": kind,
-        "set": set_index,
-        "access": access_to_wire(access),
-    }
-    if way is not None:
-        frame["way"] = way
-    if line is not None:
-        frame["line"] = line
-    return frame
-
-
-def victim_request(tenant: str, request_id: str, set_index: int, cache_set,
-                   access) -> dict:
-    return {
-        "op": "victim",
-        "id": request_id,
-        "tenant": tenant,
-        "set": set_index,
-        "set_state": set_to_wire(cache_set),
-        "access": access_to_wire(access),
     }
 
 

@@ -1,7 +1,7 @@
 """The eviction-as-a-service policy server.
 
 A long-running asyncio TCP server answering ``victim`` decisions for many
-concurrent simulated cache instances (tenants) over the NDJSON protocol in
+concurrent simulated cache instances (tenants) over the framed protocol in
 :mod:`repro.serve.protocol`.  Designed robustness-first:
 
 * **Deadline budget** — every victim request carries a *simulated* cost in
@@ -42,16 +42,17 @@ from collections import OrderedDict
 from repro.cache.replacement import BYPASS, make_policy
 from repro.sanitize.policy_guard import CheckedPolicy
 from repro.serve.protocol import (
-    MAX_FRAME_BYTES,
+    FRAME_PREFIX,
     PROTOCOL_VERSION,
     FrameError,
-    access_from_wire,
+    check_payload,
     config_from_wire,
     decode_frame,
+    decode_hook,
+    decode_victim,
     encode_frame,
     error_reply,
-    line_from_wire,
-    set_from_wire,
+    frame_header,
 )
 from repro.serve.state import QUARANTINED, HealthConfig, ShardHealth
 from repro.telemetry import get_registry
@@ -132,28 +133,16 @@ class TenantShard:
         while len(self.replies) > REPLY_CACHE_SIZE:
             self.replies.popitem(last=False)
 
-    def apply_hook(self, kind: str, frame: dict) -> None:
+    def apply_hook(self, kind: str, set_index: int, way, line,
+                   access) -> None:
         """Feed one lifecycle event to the policy; errors are health signals."""
         if self.health.state == QUARANTINED:
             return  # the policy is benched; do not touch it
         try:
-            access = access_from_wire(frame["access"])
-            set_index = int(frame["set"])
             if kind == "on_miss":
                 self.policy.on_miss(set_index, access)
-                return
-            way = int(frame["way"])
-            line = line_from_wire(frame.get("line") or {})
-            if kind == "on_hit":
-                self.policy.on_hit(set_index, way, line, access)
-            elif kind == "on_evict":
-                self.policy.on_evict(set_index, way, line, access)
-            elif kind == "on_fill":
-                self.policy.on_fill(set_index, way, line, access)
             else:
-                raise FrameError(f"unknown hook kind {kind!r}")
-        except FrameError:
-            raise  # malformed frame: the connection handler answers
+                getattr(self.policy, kind)(set_index, way, line, access)
         except Exception as error:  # policy bug: degrade, never crash
             self.health.record_error(f"{kind}: {error}")
 
@@ -171,7 +160,7 @@ class TenantShard:
 
 
 class PolicyServer:
-    """Asyncio NDJSON policy server; see the module docstring."""
+    """Asyncio framed-protocol policy server; see the module docstring."""
 
     def __init__(self, config: ServeConfig = None, host: str = "127.0.0.1",
                  port: int = 0, log=None):
@@ -202,7 +191,7 @@ class PolicyServer:
     async def start(self) -> None:
         self._decide_queue = asyncio.Queue()
         self._server = await asyncio.start_server(
-            self._on_connection, self.host, self.port, limit=MAX_FRAME_BYTES
+            self._on_connection, self.host, self.port
         )
         self.address = self._server.sockets[0].getsockname()[:2]
         self._decide_task = asyncio.create_task(self._decide_loop())
@@ -277,19 +266,28 @@ class PolicyServer:
     async def _serve_connection(self, reader, writer) -> None:
         while not self.draining:
             try:
-                line = await reader.readline()
-            except (ValueError, asyncio.LimitOverrunError):
-                await self._send(writer, error_reply("frame too large"))
-                return
-            if not line:
-                return  # clean EOF
-            if not line.endswith(b"\n"):
-                # EOF mid-frame: a truncated frame, not a request.
+                prefix = await reader.readexactly(FRAME_PREFIX.size)
+            except asyncio.IncompleteReadError as error:
+                if error.partial:
+                    self.log("truncated frame at EOF; closing connection")
+                return  # EOF, clean or mid-prefix
+            try:
+                length, crc = frame_header(prefix)
+                payload = check_payload(await reader.readexactly(length), crc)
+            except asyncio.IncompleteReadError:
                 self.log("truncated frame at EOF; closing connection")
                 return
+            except FrameError as error:
+                # Too large, or a bad checksum: the length word may be the
+                # damaged part, so the stream cannot be trusted past it.
+                self._count("serve.bad_frames")
+                await self._send(writer, error_reply(f"bad frame: {error}"))
+                return
             try:
-                frame = decode_frame(line)
-                reply = await self._dispatch(frame, writer)
+                if payload[:1] == b"H":  # one-way: nothing to answer
+                    self._hook(*decode_hook(payload))
+                    continue
+                reply = await self._dispatch(payload)
             except FrameError as error:
                 reply = error_reply(f"bad frame: {error}")
                 self._count("serve.bad_frames")
@@ -309,15 +307,13 @@ class PolicyServer:
         writer.write(payload)
         await writer.drain()
 
-    async def _dispatch(self, frame: dict, writer):
+    async def _dispatch(self, payload: bytes):
+        if payload[:1] == b"V":
+            return await self._victim(*decode_victim(payload))
+        frame = decode_frame(payload)
         op = frame.get("op")
         if op == "bind":
             return self._bind(frame)
-        if op == "hook":
-            self._hook(frame)
-            return None  # one-way
-        if op == "victim":
-            return await self._victim(frame)
         if op == "ping":
             return {"ok": True, "op": "pong", "protocol": PROTOCOL_VERSION}
         if op == "stats":
@@ -371,29 +367,22 @@ class PolicyServer:
             "state": shard.health.state,
         }
 
-    def _hook(self, frame: dict) -> None:
-        shard = self.shards.get(frame.get("tenant"))
+    def _hook(self, tenant: str, kind: str, *event) -> None:
+        shard = self.shards.get(tenant)
         if shard is None:
             return  # one-way: nothing useful to answer
-        shard.apply_hook(str(frame.get("kind")), frame)
+        shard.apply_hook(kind, *event)
 
-    async def _victim(self, frame: dict) -> dict:
-        request_id = frame.get("id")
-        shard = self.shards.get(frame.get("tenant"))
+    async def _victim(self, tenant: str, request_id: str, set_index: int,
+                      cache_set, access) -> dict:
+        shard = self.shards.get(tenant)
         if shard is None:
             return error_reply(
-                f"unknown tenant {frame.get('tenant')!r} (bind first)",
-                request_id,
+                f"unknown tenant {tenant!r} (bind first)", request_id
             )
-        if request_id is not None and request_id in shard.replies:
+        if request_id in shard.replies:
             self._count("serve.duplicate_requests")
             return dict(shard.replies[request_id])
-        try:
-            cache_set = set_from_wire(frame["set_state"])
-            access = access_from_wire(frame["access"])
-            set_index = int(frame["set"])
-        except (KeyError, TypeError, FrameError) as error:
-            return error_reply(f"bad victim request: {error}", request_id)
 
         # Chaos at the decide site: charge simulated cost / inject errors.
         cost_us = self.config.base_cost_us
@@ -420,8 +409,7 @@ class PolicyServer:
         )
         reply = await future
         reply["id"] = request_id
-        if request_id is not None:
-            shard.remember(request_id, dict(reply))
+        shard.remember(request_id, dict(reply))
         # Chaos: a poisoned reply carries an out-of-range way.
         if poisoned("serve.reply", tenant=shard.tenant):
             reply = dict(reply)

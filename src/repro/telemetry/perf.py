@@ -20,8 +20,11 @@ phase                  meaning
                        feature extraction
 ``admission``          admission ``record`` + ``admit`` (objcache only)
 ``telemetry``          registered access/eviction/decision observers
-``transport``          everything outside ``policy.victim`` on the serve
-                       round-trip (framing, socket, micro-batch queueing)
+``encode``             client-side packing of serve requests
+``decode``             client-side parsing of serve replies
+``transport``          the rest of the serve round trip outside
+                       ``policy.victim`` (socket, server-side framing and
+                       decoding, micro-batch queueing)
 =====================  =======================================================
 
 Accounting is *subtractive*: raw timers nest (``victim`` inside ``access``
@@ -54,6 +57,8 @@ PHASES = (
     "policy_update",
     "admission",
     "telemetry",
+    "encode",
+    "decode",
     "transport",
 )
 
@@ -86,6 +91,8 @@ class PhaseProfile:
             "hook_feature": 0.0,  # inside hooks
             "observers": 0.0,
             "admission": 0.0,
+            "encode": 0.0,  # serve client, outside the round trip
+            "decode": 0.0,  # serve client, inside the round trip
         }
         self.calls = {}
         self.phases = {}
@@ -124,7 +131,13 @@ class PhaseProfile:
         elif self.engine == "serve":
             phases["victim_scoring"] = max(0.0, raw["victim"] - raw["feature"])
             phases["feature_extraction"] = raw["feature"]
-            phases["transport"] = max(0.0, self.loop_seconds - raw["victim"])
+            phases["encode"] = raw["encode"]
+            phases["decode"] = raw["decode"]
+            phases["transport"] = max(
+                0.0,
+                self.loop_seconds - raw["victim"] - raw["encode"]
+                - raw["decode"],
+            )
             self.calls["transport"] = self.accesses
         self.phases = phases
 
@@ -290,9 +303,10 @@ class _TimedObjectPolicy:
     """Timing proxy for object policies; also taps ``static_priority``.
 
     ``static_priority`` (the per-object scoring object RLR runs from its
-    admit and hit hooks) is patched *on the wrapped instance* so the
-    policy's own internal calls route through the timer — that is what
-    makes ``feature_extraction`` separable.  Its time is charged to the
+    admit and hit hooks) is patched *on the innermost policy* — through
+    any ``.wrapped`` sanitizer proxy — so the policy's own internal calls
+    route through the timer; that is what makes ``feature_extraction``
+    separable.  Its time is charged to the
     raw timer of the call it ran under (``hook_feature`` inside a hook,
     ``feature`` inside ``victim``), so each exclusive phase subtracts
     exactly the scoring that nested inside it.
@@ -302,7 +316,10 @@ class _TimedObjectPolicy:
         self._inner = inner
         self._profile = profile
         self._feature_timer = "feature"
-        original = getattr(inner, "static_priority", None)
+        scorer = inner
+        while hasattr(scorer, "wrapped"):
+            scorer = scorer.wrapped
+        original = getattr(scorer, "static_priority", None)
         if callable(original):
             def timed_static_priority(obj):
                 started = time.perf_counter()
@@ -313,7 +330,7 @@ class _TimedObjectPolicy:
                 profile.count("feature_extraction")
                 return score
 
-            inner.static_priority = timed_static_priority
+            scorer.static_priority = timed_static_priority
 
     def __getattr__(self, name):
         return getattr(self._inner, name)

@@ -189,6 +189,24 @@ class TestCompare:
                 for row in report.rows if row.status == "new"}
         assert news == {("replay", "rlr"), ("serve", "lru")}
 
+    def test_phases_missing_from_the_baseline_are_new_never_failures(self):
+        # A serve entry from before the encode/decode split against one
+        # after it: transport shrank, two phases appeared.
+        baseline = {"serve": payload(bench="serve", rates={"lru": 3000.0},
+                                     phases={"lru": phase_block(
+                                         victim_scoring=5e3,
+                                         transport=300e3)})}
+        current = {"serve": payload(bench="serve", rates={"lru": 3100.0},
+                                    phases={"lru": phase_block(
+                                        victim_scoring=5e3, encode=20e3,
+                                        decode=10e3, transport=200e3)})}
+        report = compare(current, baseline)
+        assert report.ok
+        assert {delta.phase for delta in report.phase_deltas} == {
+            "victim_scoring", "transport"}
+        assert any("decode, encode" in note and "new" in note
+                   for note in report.notes)
+
     def test_tolerance_overrides_every_family_threshold(self):
         baseline = {"replay": payload(rates={"lru": 1000.0})}
         current = {"replay": payload(rates={"lru": 700.0})}

@@ -85,6 +85,18 @@ class TestServeFamily:
         assert phases["transport"]["seconds"] > 0
         assert payload["phases"]["lru"]["accesses"] == TINY_SERVE["requests"]
 
+    def test_client_encode_and_decode_are_split_out_of_transport(self):
+        payload = bench_mod.bench_serve(repeats=1, spec=TINY_SERVE)
+        for policy, profile in payload["phases"].items():
+            phases = profile["phases"]
+            assert set(phases) == {"victim_scoring", "feature_extraction",
+                                   "encode", "decode", "transport"}
+            for name in ("encode", "decode"):
+                assert phases[name]["seconds"] > 0, (policy, name)
+                assert phases[name]["calls"] == TINY_SERVE["requests"]
+            # phase_sum == loop_seconds still holds after the split
+            assert profile["reconciliation"]["relative_error"] < 1e-6
+
 
 class TestTrainFamily:
     def test_one_epoch_records_per_second(self):

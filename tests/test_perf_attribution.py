@@ -220,6 +220,22 @@ class TestObjectCacheParity:
         assert profile.reconciliation()["relative_error"] <= 0.01
 
 
+    def test_scoring_is_tapped_through_a_sanitizer_proxy(self, object_trace):
+        from repro.sanitize.object_guard import CheckedObjectPolicy
+
+        calls = []
+        for wrap in (lambda policy: policy, CheckedObjectPolicy):
+            profile = PhaseProfile("objcache")
+            cache = make_profiled_object_cache(
+                500_000, wrap(make_object_policy("rlr")), profile
+            )
+            cache.replay(object_trace.requests)
+            calls.append(profile.calls.get("feature_extraction", 0))
+        bare, checked = calls
+        assert bare > 0
+        assert checked == bare
+
+
 CELLS = (
     {"engine": "objcache", "policy": "lru", "objects": 200, "length": 1000},
     {"engine": "objcache", "policy": "rlr", "objects": 200, "length": 1000},

@@ -15,7 +15,7 @@ from repro.serve.client import (
     ServerBackedPolicy,
     backoff_delays,
 )
-from repro.serve.protocol import set_to_wire
+from repro.serve.protocol import pack_lines
 from repro.serve.server import ServeConfig, start_in_thread
 from repro.traces.record import AccessType, TraceRecord
 
@@ -181,14 +181,14 @@ class TestHookLines:
         client.request = lambda frame: None  # unreachable: local LRU
         cache_set = _full_set()
         cache_set.accesses += 3
-        before = set_to_wire(cache_set)["lines"]
+        before = pack_lines(cache_set)
         way = policy.victim(0, cache_set, _record())
         policy.on_evict(0, way, cache_set.lines[way], _record())
-        assert sent[-1]["line"] == before[way]
+        assert sent[-1]["payload"].endswith(before[way])
         cache_set.accesses += 1
         line = cache_set.fill(way, 0x99, 0x4099, _record())
         policy.on_fill(0, way, line, _record())
-        assert sent[-1]["line"] == set_to_wire(cache_set)["lines"][way]
+        assert sent[-1]["payload"].endswith(pack_lines(cache_set)[way])
         policy.close()
 
 

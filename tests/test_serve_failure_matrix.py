@@ -18,7 +18,15 @@ import pytest
 from repro.cache.cache_set import CacheSet
 from repro.cache.config import CacheConfig
 from repro.serve.client import PolicyClient, ServerBackedPolicy
-from repro.serve.protocol import victim_request
+from repro.serve.protocol import (
+    MAX_FRAME_BYTES,
+    decode_frame,
+    encode_frame,
+    read_frame,
+    victim_request,
+)
+from repro.store.frames import FRAME_PREFIX
+from repro.store.frames import encode_frame as raw_frame
 from repro.serve.server import PolicyServer, ServeConfig, start_in_thread
 from repro.serve.snapshot import (
     SnapshotError,
@@ -144,8 +152,10 @@ class TestMalformedAndTruncatedFrames:
             with socket.create_connection(
                 (handle.host, handle.port), timeout=5
             ) as raw:
-                raw.sendall(b"{this is not json}\n")
-                reply = json.loads(raw.makefile("rb").readline())
+                # A well-framed payload (length and CRC hold) that is
+                # neither JSON nor a packed op.
+                raw.sendall(raw_frame(b"{this is not json}"))
+                reply = decode_frame(read_frame(raw.makefile("rb").read))
             assert reply["ok"] is False
             assert "bad frame" in reply["error"]
             # The server is still alive for the next tenant.
@@ -157,23 +167,27 @@ class TestMalformedAndTruncatedFrames:
         with start_in_thread(ServeConfig()) as handle:
             raw = socket.create_connection((handle.host, handle.port),
                                            timeout=5)
-            raw.sendall(b'{"op": "ping"')  # no newline: torn mid-frame
+            frame = encode_frame({"op": "ping"})
+            raw.sendall(frame[: len(frame) - 3])  # torn mid-frame
             raw.close()
             client = PolicyClient(handle.host, handle.port)
             assert client.ping()["op"] == "pong"
             client.close()
 
     def test_oversized_frame_is_rejected(self):
-        from repro.serve.protocol import MAX_FRAME_BYTES
-
         with start_in_thread(ServeConfig()) as handle:
             with socket.create_connection(
                 (handle.host, handle.port), timeout=5
             ) as raw:
-                raw.sendall(b'{"pad": "' + b"x" * MAX_FRAME_BYTES + b'"}\n')
-                reply = json.loads(raw.makefile("rb").readline())
+                # The length word alone is refused: nothing is allocated
+                # for (or read of) the declared payload.
+                raw.sendall(FRAME_PREFIX.pack(MAX_FRAME_BYTES + 1, 0))
+                reply = decode_frame(read_frame(raw.makefile("rb").read))
             assert reply["ok"] is False
             assert "too large" in reply["error"]
+            client = PolicyClient(handle.host, handle.port)
+            assert client.ping()["op"] == "pong"
+            client.close()
 
 
 class TestPoisonedReply:
